@@ -6,63 +6,4 @@ volume-normalize by monthly subsampling -> aggregate per-name timelines
 (quantiles, power-law tails, bootstrap intervals) -> report files.
 """
 
-from .corpus_io import AnalysisWindow, Document, read_documents, window_filter, write_documents
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateTail,
-    EmptyCohort,
-    FamespanError,
-    InsufficientTail,
-    SchemaError,
-    StatsError,
-    UnderfullMonth,
-    UnstableStatistic,
-)
-from .fixtures import fixture_timeline
-from .name_extract import Mention, RecognizerConfig, extract_mentions, mentions_of
-from .peaks import (
-    METHOD_CONTINUITY,
-    METHOD_SPIKE,
-    METHODS,
-    FamePeriod,
-    WeekGrid,
-    continuity_period,
-    period_filter,
-    spike_period,
-)
-from .sampler import MonthVolume, SamplerConfig, month_volumes, sample_uniform
-from .stats import (
-    BootstrapInterval,
-    Cohort,
-    PowerLawAlphaStatistic,
-    PowerLawFit,
-    QuantileStatistic,
-    assign_cohorts,
-    bootstrap,
-    bootstrap_many,
-    cumulative_curve,
-    derive_seed,
-    fit_power_law,
-    quantile,
-)
-from .synth import (
-    NameProfile,
-    SynthSpec,
-    VolumeSchedule,
-    generate_corpus,
-    load_synth_spec,
-    oracle_continuity,
-    oracle_spike,
-)
-from .timeline import (
-    Timeline,
-    YearlyCount,
-    basic_name_filter,
-    build_timelines,
-    top_frac_by_year,
-    top_k_by_year,
-    yearly_counts,
-)
-
 __version__ = "0.1.0"

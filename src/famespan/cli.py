@@ -10,6 +10,7 @@ inspected through its intermediate files:
   stats    quantile series, cumulative curves, tail fits for one periods CSV
   report   summary table (+ manifest) from periods CSVs
   run      all of the above end to end, in memory
+  fixture  write a bundled disagreement fixture as a timelines TSV
 
 All randomness flows from one --seed; stage seeds are derived, so equal
 (config, seed, inputs) produce byte-identical artifacts.
@@ -20,15 +21,12 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 statistics error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from fractions import Fraction
-from functools import partial
-from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import report as rep
 from .corpus_io import (
@@ -41,13 +39,7 @@ from .corpus_io import (
 from .dates import parse_month
 from .errors import ConfigError, DataError, EmptyCohort, FamespanError
 from .fixtures import FIXTURE_KINDS, fixture_timeline
-from .name_extract import (
-    DEFAULT_HONORIFICS,
-    DEFAULT_STOP_CAPITALIZED,
-    RecognizerConfig,
-    load_wordlist,
-    mentions_of,
-)
+from .name_extract import RecognizerConfig, load_recognizer, mentions_of
 from .peaks import (
     METHOD_SPIKE,
     METHODS,
@@ -57,7 +49,13 @@ from .peaks import (
     period_filter,
     spike_period,
 )
-from .sampler import SamplerConfig, month_volumes, sample_uniform, write_sampling_report
+from .sampler import (
+    UNDERFULL_POLICIES,
+    SamplerConfig,
+    month_volumes,
+    sample_uniform,
+    write_sampling_report,
+)
 from .stats import WIDTH_3_MONTHS, WIDTH_5_YEARS, assign_cohorts, cumulative_curve
 from .synth import generate_corpus, load_synth_spec
 from .timeline import (
@@ -66,19 +64,24 @@ from .timeline import (
     build_timelines,
     top_frac_by_year,
     top_k_by_year,
+    write_timelines_tsv,
     yearly_counts,
 )
 
 FILTERS = ("all", "top-1000", "top-0.1%")
 _FILTER_FILE_TOKEN = {"all": "all", "top-1000": "top-1000", "top-0.1%": "top-0.1pct"}
-_FILTER_FROM_TOKEN = {v: k for k, v in _FILTER_FILE_TOKEN.items()}
+_PERIODS_FILE_LABEL = {
+    f"periods_{m}_{token}": (m, f) for m in METHODS for f, token in _FILTER_FILE_TOKEN.items()
+}
+
+T = TypeVar("T")
 
 
 @dataclass
 class RunConfig:
     """End-to-end pipeline configuration; defaults follow the standard
     weekly grid, 5-year cohorts, 25000-rep 99% bootstrap, 80th-percentile
-    tail setup."""
+    tail setup.  The command-line defaults are read from here."""
 
     window: AnalysisWindow
     n_min: int
@@ -95,7 +98,6 @@ class RunConfig:
     top_k: int = 1000
     top_fraction: Fraction = Fraction(1, 1000)
     underfull_policy: str = "drop-month"
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
     gazetteer: Path | None = None
     honorifics: Path | None = None
     stoplist: Path | None = None
@@ -115,30 +117,45 @@ class RunConfig:
     def recognizer(self) -> RecognizerConfig | None:
         if self.gazetteer is None:
             return None
-        return RecognizerConfig(
-            given_name_gazetteer=load_wordlist(self.gazetteer),
-            honorifics=load_wordlist(self.honorifics) if self.honorifics else DEFAULT_HONORIFICS,
-            stop_capitalized=load_wordlist(self.stoplist) if self.stoplist else DEFAULT_STOP_CAPITALIZED,
-        )
+        return load_recognizer(self.gazetteer, self.honorifics, self.stoplist)
 
     def as_manifest_dict(self) -> dict:
-        return {
-            "window": [self.window.start.isoformat(), self.window.end.isoformat()],
-            "n_min": self.n_min,
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "filters": list(self.filters),
-            "schema": self.schema,
-            "reps": self.reps,
-            "level": self.level,
-            "tail_quantile": self.tail_quantile,
-            "min_mentions": self.min_mentions,
-            "min_duration": self.min_duration,
-            "top_k": self.top_k,
-            "top_fraction": str(self.top_fraction),
-            "underfull_policy": self.underfull_policy,
-            "cohort_widths": list(self.cohort_widths),
+        """Every setting but the recognizer's word-list paths, as JSON values."""
+        config = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("gazetteer", "honorifics", "stoplist")
         }
+        config["window"] = [self.window.start.isoformat(), self.window.end.isoformat()]
+        config["top_fraction"] = str(self.top_fraction)
+        return config
+
+
+class _ArtifactDir:
+    """Tracks files written into out_dir; leaving its ``with`` block by an
+    exception removes them again, so failures leave nothing partial."""
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.created: list[Path] = []
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+    def path(self, name: str) -> Path:
+        p = self.out_dir / name
+        self.created.append(p)
+        return p
+
+    def __enter__(self) -> "_ArtifactDir":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for p in self.created:
+                p.unlink(missing_ok=True)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline, one implementation per stage
 
 
 def _read_windowed(inputs: Sequence[Path], schema: str, window: AnalysisWindow):
@@ -146,41 +163,40 @@ def _read_windowed(inputs: Sequence[Path], schema: str, window: AnalysisWindow):
         yield from window_filter(read_documents(path, schema), window)
 
 
-def _detect(timeline: Timeline, method: str, grid: WeekGrid) -> FamePeriod:
-    if method == METHOD_SPIKE:
-        return spike_period(timeline, grid)
-    return continuity_period(timeline)
-
-
-def detect_periods(
-    timelines: dict[str, Timeline], method: str, grid: WeekGrid, workers: int = 1
-) -> list[FamePeriod]:
-    """Detector map over name-sorted timelines; result is independent of
-    the worker count because each detection is a pure function."""
-    ordered = [timelines[name] for name in sorted(timelines)]
-    if workers > 1 and len(ordered) > 1:
-        with Pool(processes=workers) as pool:
-            chunk = max(1, len(ordered) // (workers * 4))
-            return pool.map(partial(_detect, method=method, grid=grid), ordered, chunksize=chunk)
-    return [_detect(t, method, grid) for t in ordered]
+def ingest(
+    inputs: Sequence[Path],
+    schema: str,
+    window: AnalysisWindow,
+    sampler_cfg: SamplerConfig,
+    consume: Callable[[Iterator[Document]], T],
+    report_path: Path | None = None,
+) -> T:
+    """Month volumes, then a keyed-sampling pass whose kept documents
+    ``consume`` drains before the sampling report is written."""
+    volumes = month_volumes(_read_windowed(inputs, schema, window))
+    kept_counts: dict[tuple[int, int], int] = {}
+    sampled = sample_uniform(
+        _read_windowed(inputs, schema, window), volumes, sampler_cfg, kept_counts
+    )
+    result = consume(sampled)
+    if report_path is not None:
+        write_sampling_report(volumes, kept_counts, report_path)
+    return result
 
 
 def build_pipeline_timelines(
     cfg: RunConfig, inputs: Sequence[Path], report_path: Path | None = None
 ) -> dict[str, Timeline]:
-    """Two passes over the inputs: month volumes, then sample + aggregate."""
-    volumes = month_volumes(_read_windowed(inputs, cfg.schema, cfg.window))
-    sampler_cfg = SamplerConfig(cfg.n_min, cfg.seed, cfg.underfull_policy)
-    kept_counts: dict[tuple[int, int], int] = {}
+    """Ingest, then fold the kept documents' mentions into timelines."""
     recognizer = cfg.recognizer()
-    sampled = sample_uniform(
-        _read_windowed(inputs, cfg.schema, cfg.window), volumes, sampler_cfg, kept_counts
+    sampler_cfg = SamplerConfig(cfg.n_min, cfg.seed, cfg.underfull_policy)
+    timelines = ingest(
+        inputs, cfg.schema, cfg.window, sampler_cfg,
+        lambda docs: build_timelines(m for doc in docs for m in mentions_of(doc, recognizer)),
+        report_path,
     )
-    timelines = build_timelines(
-        m for doc in sampled for m in mentions_of(doc, recognizer)
-    )
-    if report_path is not None:
-        write_sampling_report(volumes, kept_counts, report_path)
+    if not timelines:
+        raise DataError("no mentions found inside the analysis window")
     return timelines
 
 
@@ -201,25 +217,53 @@ def select_name_sets(cfg: RunConfig, timelines: dict[str, Timeline]) -> dict[str
     return sets
 
 
-class _ArtifactDir:
-    """Tracks files written into out_dir so failures leave nothing partial."""
+def detect_periods(timelines: dict[str, Timeline], method: str, grid: WeekGrid) -> list[FamePeriod]:
+    """Detector map over name-sorted timelines."""
+    ordered = [timelines[name] for name in sorted(timelines)]
+    if method == METHOD_SPIKE:
+        return [spike_period(t, grid) for t in ordered]
+    return [continuity_period(t) for t in ordered]
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.created: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
 
-    def path(self, name: str) -> Path:
-        p = self.out_dir / name
-        self.created.append(p)
-        return p
+def fame_periods(
+    cfg: RunConfig, timelines: dict[str, Timeline], art: _ArtifactDir
+) -> Iterator[tuple[str, str, list[FamePeriod]]]:
+    """Name sets, detection, period_filter and the cut per name filter;
+    writes and yields (method, filter, name-sorted periods) for each pair."""
+    name_sets = select_name_sets(cfg, timelines)
+    grid = WeekGrid.for_window(cfg.window)
+    for method in cfg.methods:
+        detected = detect_periods(timelines, method, grid)
+        valid = {p.name: p for p in period_filter(detected, cfg.window, cfg.min_duration)}
+        for filter_name in cfg.filters:
+            periods = [valid[n] for n in sorted(name_sets[filter_name] & valid.keys())]
+            if not periods:
+                raise EmptyCohort(
+                    f"no fame periods survive filtering for ({method}, {filter_name})"
+                )
+            token = _FILTER_FILE_TOKEN[filter_name]
+            rep.write_periods_csv(periods, art.path(f"periods_{method}_{token}.csv"))
+            yield method, filter_name, periods
 
-    def cleanup(self):
-        for p in self.created:
-            try:
-                p.unlink()
-            except FileNotFoundError:
-                pass
+
+def _bootstrap(src) -> tuple[int, int, float, float]:
+    """(seed, reps, level, tail_quantile) of a RunConfig or of parsed
+    arguments, in the order report.compute_cohort_stats takes them."""
+    return src.seed, src.reps, src.level, src.tail_quantile
+
+
+def cohort_stats(
+    method: str,
+    filter_name: str,
+    periods: list[FamePeriod],
+    width: int,
+    bootstrap: tuple[int, int, float, float],
+) -> list[rep.CohortStats]:
+    """The bootstrapped statistics of each cohort of one width."""
+    return [
+        rep.compute_cohort_stats(method, filter_name, cohort, *bootstrap)
+        for cohort in assign_cohorts(periods, width)
+    ]
 
 
 def _width_token(width: int) -> str:
@@ -232,34 +276,25 @@ def _width_token(width: int) -> str:
 
 def _stats_artifacts(
     art: _ArtifactDir,
-    periods: list[FamePeriod],
     method: str,
     filter_name: str,
-    seed: int,
-    reps: int,
-    level: float,
-    tail_quantile: float,
-    widths: tuple[int, ...] = (WIDTH_3_MONTHS, WIDTH_5_YEARS),
+    periods: list[FamePeriod],
+    widths: tuple[int, ...],
+    bootstrap: tuple[int, int, float, float],
 ) -> list[rep.CohortStats]:
     """Quantile series per width; curves, fits, and bootstrap intervals on
     the widest cohorts (those feed the summary table)."""
     token = _FILTER_FILE_TOKEN[filter_name]
     for width in widths[:-1]:
-        cohorts = assign_cohorts(periods, width)
         rep.write_quantile_series_csv(
-            cohorts, art.path(f"series_{method}_{token}_{_width_token(width)}.csv")
+            assign_cohorts(periods, width),
+            art.path(f"series_{method}_{token}_{_width_token(width)}.csv"),
         )
-    main_width = widths[-1]
-    main_cohorts = assign_cohorts(periods, main_width)
-    all_stats = [
-        rep.compute_cohort_stats(method, filter_name, cohort, seed, reps, level, tail_quantile)
-        for cohort in main_cohorts
-    ]
-    intervals = {cs.cohort.label: cs.quantiles for cs in all_stats}
+    all_stats = cohort_stats(method, filter_name, periods, widths[-1], bootstrap)
     rep.write_quantile_series_csv(
-        main_cohorts,
-        art.path(f"series_{method}_{token}_{_width_token(main_width)}.csv"),
-        intervals=intervals,
+        [cs.cohort for cs in all_stats],
+        art.path(f"series_{method}_{token}_{_width_token(widths[-1])}.csv"),
+        intervals={cs.cohort.label: cs.quantiles for cs in all_stats},
     )
     for cs in all_stats:
         rep.write_cumulative_curve_csv(
@@ -276,38 +311,18 @@ def _stats_artifacts(
 
 def run_pipeline(cfg: RunConfig, inputs: Sequence[Path], out_dir: Path) -> list[Path]:
     """End-to-end run; returns the artifact paths (removed again on error)."""
-    art = _ArtifactDir(Path(out_dir))
-    try:
+    with _ArtifactDir(Path(out_dir)) as art:
         timelines = build_pipeline_timelines(cfg, inputs, art.path("sampling_report.csv"))
-        if not timelines:
-            raise DataError("no mentions found inside the analysis window")
-        name_sets = select_name_sets(cfg, timelines)
-        grid = WeekGrid.for_window(cfg.window)
         summary_rows = []
-        for method in cfg.methods:
-            detected = detect_periods(timelines, method, grid, cfg.workers)
-            valid = {p.name: p for p in period_filter(detected, cfg.window, cfg.min_duration)}
-            for filter_name in cfg.filters:
-                names = sorted(name_sets[filter_name] & valid.keys())
-                periods = [valid[n] for n in names]
-                if not periods:
-                    raise EmptyCohort(
-                        f"no fame periods survive filtering for ({method}, {filter_name})"
-                    )
-                token = _FILTER_FILE_TOKEN[filter_name]
-                rep.write_periods_csv(periods, art.path(f"periods_{method}_{token}.csv"))
-                stats = _stats_artifacts(
-                    art, periods, method, filter_name,
-                    cfg.seed, cfg.reps, cfg.level, cfg.tail_quantile, cfg.cohort_widths,
-                )
-                summary_rows.extend(rep.summary_row(cs) for cs in stats)
+        for method, filter_name, periods in fame_periods(cfg, timelines, art):
+            stats = _stats_artifacts(
+                art, method, filter_name, periods, cfg.cohort_widths, _bootstrap(cfg)
+            )
+            summary_rows.extend(rep.summary_row(cs) for cs in stats)
         rep.write_summary_csv(summary_rows, art.path("summary.csv"))
         rep.write_summary_text(summary_rows, art.path("summary.txt"))
         rep.write_manifest(cfg.as_manifest_dict(), inputs, art.path("manifest.json"))
-        return art.created
-    except BaseException:
-        art.cleanup()
-        raise
+    return art.created
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +362,10 @@ def _csv_list(raw: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
     return items
 
 
-def _add_window_arg(p):
+def _add_input_args(p):
+    """Inputs and volume sampling: sample, periods and run."""
+    p.add_argument("--input", type=Path, nargs="+", required=True)
+    p.add_argument("--schema", choices=("raw", "pretagged"), default=RunConfig.schema)
     p.add_argument(
         "--window",
         nargs=2,
@@ -356,36 +374,55 @@ def _add_window_arg(p):
         help="analysis window as two month boundaries, e.g. --window 1895-01 2011-01 "
         "(START inclusive, END exclusive)",
     )
+    p.add_argument("--n-min", dest="n_min", type=int, required=True,
+                   help="monthly document target (no silent default)")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--underfull-policy", choices=UNDERFULL_POLICIES,
+                   default=RunConfig.underfull_policy)
 
 
-def _add_recognizer_args(p):
-    p.add_argument("--gazetteer", type=Path, help="given-name list, one per line")
+def _add_recognizer_args(p, gazetteer_required: bool = False):
+    p.add_argument("--gazetteer", type=Path, required=gazetteer_required,
+                   help="given-name list, one per line")
     p.add_argument("--honorifics", type=Path, help="honorific list (default built in)")
     p.add_argument("--stoplist", type=Path, help="capitalized stopword list (default built in)")
 
 
-def _build_run_config(args, schema=None) -> RunConfig:
-    return RunConfig(
+def _add_pipeline_args(p):
+    """Name filters and detectors: periods and run."""
+    p.add_argument("--methods", default=",".join(RunConfig.methods))
+    p.add_argument("--filters", default=",".join(RunConfig.filters))
+    p.add_argument("--min-mentions", type=int, default=RunConfig.min_mentions)
+    p.add_argument("--min-duration", type=float, default=RunConfig.min_duration)
+    p.add_argument("--top-k", type=int, default=RunConfig.top_k)
+    p.add_argument("--top-fraction", default=str(RunConfig.top_fraction))
+    _add_recognizer_args(p)
+
+
+def _add_bootstrap_args(p, widths: bool):
+    """Cohort statistics: stats, report and run (report has --width instead)."""
+    p.add_argument("--reps", type=int, default=RunConfig.reps, help="bootstrap resamples")
+    p.add_argument("--level", type=float, default=RunConfig.level)
+    p.add_argument("--tail-quantile", type=float, default=RunConfig.tail_quantile)
+    if widths:
+        p.add_argument("--widths", default=",".join(map(str, RunConfig.cohort_widths)),
+                       help="cohort widths in months; the widest gets bootstrap intervals, "
+                       "curves and fits")
+
+
+def _build_run_config(args) -> RunConfig:
+    """RunConfig from the parsed arguments whose dest names one of its
+    fields; periods has no statistics arguments and keeps their defaults."""
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name in args}
+    settings.update(
         window=_parse_window(args.window),
-        n_min=args.n_min,
-        seed=args.seed,
         methods=_csv_list(args.methods, METHODS, "--methods"),
         filters=_csv_list(args.filters, FILTERS, "--filters"),
-        schema=schema or args.schema,
-        cohort_widths=_parse_widths(args.widths),
-        reps=args.reps,
-        level=args.level,
-        tail_quantile=args.tail_quantile,
-        min_mentions=args.min_mentions,
-        min_duration=args.min_duration,
-        top_k=args.top_k,
         top_fraction=_parse_fraction(args.top_fraction),
-        underfull_policy=args.underfull_policy,
-        workers=args.workers,
-        gazetteer=args.gazetteer,
-        honorifics=args.honorifics,
-        stoplist=args.stoplist,
     )
+    if "widths" in args:
+        settings["cohort_widths"] = _parse_widths(args.widths)
+    return RunConfig(**settings)
 
 
 def _cmd_synth(args) -> int:
@@ -398,11 +435,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    recognizer = RecognizerConfig(
-        given_name_gazetteer=load_wordlist(args.gazetteer),
-        honorifics=load_wordlist(args.honorifics) if args.honorifics else DEFAULT_HONORIFICS,
-        stop_capitalized=load_wordlist(args.stoplist) if args.stoplist else DEFAULT_STOP_CAPITALIZED,
-    )
+    recognizer = load_recognizer(args.gazetteer, args.honorifics, args.stoplist)
 
     def tagged(docs: Iterable[Document]):
         for doc in docs:
@@ -417,70 +450,34 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    window = _parse_window(args.window)
-    volumes = month_volumes(_read_windowed(args.input, args.schema, window))
     sampler_cfg = SamplerConfig(args.n_min, args.seed, args.underfull_policy)
-    kept_counts: dict[tuple[int, int], int] = {}
-    sampled = sample_uniform(
-        _read_windowed(args.input, args.schema, window), volumes, sampler_cfg, kept_counts
+    n = ingest(
+        args.input, args.schema, _parse_window(args.window), sampler_cfg,
+        lambda docs: write_documents(docs, args.out), args.report,
     )
-    n = write_documents(sampled, args.out)
-    if args.report:
-        write_sampling_report(volumes, kept_counts, args.report)
     print(f"kept {n} documents -> {args.out}")
     return 0
 
 
 def _cmd_periods(args) -> int:
     cfg = _build_run_config(args)
-    art = _ArtifactDir(Path(args.out_dir))
-    try:
+    with _ArtifactDir(Path(args.out_dir)) as art:
         timelines = build_pipeline_timelines(cfg, args.input, art.path("sampling_report.csv"))
-        if not timelines:
-            raise DataError("no mentions found inside the analysis window")
-        name_sets = select_name_sets(cfg, timelines)
-        grid = WeekGrid.for_window(cfg.window)
         if args.timelines:
-            from .timeline import write_timelines_tsv
-
             write_timelines_tsv(timelines, art.path(args.timelines))
-        for method in cfg.methods:
-            detected = detect_periods(timelines, method, grid, cfg.workers)
-            valid = {p.name: p for p in period_filter(detected, cfg.window, cfg.min_duration)}
-            for filter_name in cfg.filters:
-                names = sorted(name_sets[filter_name] & valid.keys())
-                if not names:
-                    raise EmptyCohort(
-                        f"no fame periods survive filtering for ({method}, {filter_name})"
-                    )
-                token = _FILTER_FILE_TOKEN[filter_name]
-                rep.write_periods_csv(
-                    [valid[n] for n in names], art.path(f"periods_{method}_{token}.csv")
-                )
-    except BaseException:
-        art.cleanup()
-        raise
-    print(f"wrote {len(art.created)} period files to {args.out_dir}")
+        n = sum(1 for _ in fame_periods(cfg, timelines, art))
+    print(f"wrote {n} period files to {args.out_dir}")
     return 0
 
 
-def _label_from_periods_file(path: Path) -> tuple[str, str]:
-    stem = path.stem
-    if stem.startswith("periods_"):
-        rest = stem[len("periods_"):]
-        for method in METHODS:
-            if rest.startswith(method + "_"):
-                token = rest[len(method) + 1:]
-                if token in _FILTER_FROM_TOKEN:
-                    return method, _FILTER_FROM_TOKEN[token]
-    raise ConfigError(
-        f"{path}: expected file name periods_<method>_<filter>.csv "
-        f"(filters: {', '.join(_FILTER_FILE_TOKEN.values())})"
-    )
-
-
 def _load_labelled_periods(path: Path) -> tuple[str, str, list[FamePeriod]]:
-    method, filter_name = _label_from_periods_file(path)
+    try:
+        method, filter_name = _PERIODS_FILE_LABEL[path.stem]
+    except KeyError:
+        raise ConfigError(
+            f"{path}: expected file name periods_<method>_<filter>.csv "
+            f"(filters: {', '.join(_FILTER_FILE_TOKEN.values())})"
+        ) from None
     periods = rep.read_periods_csv(path)
     if not periods:
         raise EmptyCohort(f"{path}: no periods")
@@ -494,36 +491,22 @@ def _load_labelled_periods(path: Path) -> tuple[str, str, list[FamePeriod]]:
 
 
 def _cmd_stats(args) -> int:
-    art = _ArtifactDir(Path(args.out_dir))
-    try:
+    widths = _parse_widths(args.widths)
+    with _ArtifactDir(Path(args.out_dir)) as art:
         for path in args.periods:
             method, filter_name, periods = _load_labelled_periods(Path(path))
-            _stats_artifacts(
-                art, periods, method, filter_name,
-                args.seed, args.reps, args.level, args.tail_quantile,
-                _parse_widths(args.widths),
-            )
-    except BaseException:
-        art.cleanup()
-        raise
+            _stats_artifacts(art, method, filter_name, periods, widths, _bootstrap(args))
     print(f"wrote {len(art.created)} statistics files to {args.out_dir}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    art = _ArtifactDir(Path(args.out_dir))
-    try:
+    with _ArtifactDir(Path(args.out_dir)) as art:
         summary_rows = []
         for path in args.periods:
             method, filter_name, periods = _load_labelled_periods(Path(path))
-            for cohort in assign_cohorts(periods, args.width):
-                cs = rep.compute_cohort_stats(
-                    method, filter_name, cohort, args.seed, args.reps, args.level,
-                    args.tail_quantile,
-                )
-                summary_rows.append(rep.summary_row(cs))
-        rep.write_summary_csv(summary_rows, art.path("summary.csv"))
-        rep.write_summary_text(summary_rows, art.path("summary.txt"))
+            stats = cohort_stats(method, filter_name, periods, args.width, _bootstrap(args))
+            summary_rows.extend(rep.summary_row(cs) for cs in stats)
         config = {
             "seed": args.seed,
             "reps": args.reps,
@@ -531,10 +514,9 @@ def _cmd_report(args) -> int:
             "tail_quantile": args.tail_quantile,
             "width": args.width,
         }
+        rep.write_summary_csv(summary_rows, art.path("summary.csv"))
+        rep.write_summary_text(summary_rows, art.path("summary.txt"))
         rep.write_manifest(config, args.periods, art.path("manifest.json"))
-    except BaseException:
-        art.cleanup()
-        raise
     print(f"wrote summary for {len(args.periods)} period files to {args.out_dir}")
     return 0
 
@@ -547,8 +529,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    from .timeline import write_timelines_tsv
-
     t = fixture_timeline(args.kind)
     write_timelines_tsv({t.name: t}, args.out)
     print(f"wrote fixture {args.kind} to {args.out}")
@@ -588,79 +568,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="raw JSONL -> pre-tagged JSONL via the recognizer")
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--gazetteer", type=Path, required=True)
-    p.add_argument("--honorifics", type=Path)
-    p.add_argument("--stoplist", type=Path)
+    _add_recognizer_args(p, gazetteer_required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("sample", help="volume-normalize to n_min documents per month")
-    p.add_argument("--input", type=Path, nargs="+", required=True)
-    p.add_argument("--schema", choices=("raw", "pretagged"), default="pretagged")
-    _add_window_arg(p)
-    p.add_argument("--n-min", dest="n_min", type=int, required=True,
-                   help="monthly document target (no silent default)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--underfull-policy", choices=("drop-month", "keep-all", "fail"),
-                   default="drop-month")
+    _add_input_args(p)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--report", type=Path, help="write month,n_t,kept CSV here")
     p.set_defaults(func=_cmd_sample)
 
-    def add_pipeline_args(p, with_stats: bool):
-        p.add_argument("--input", type=Path, nargs="+", required=True)
-        p.add_argument("--schema", choices=("raw", "pretagged"), default="pretagged")
-        _add_window_arg(p)
-        p.add_argument("--n-min", dest="n_min", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--methods", default=",".join(METHODS))
-        p.add_argument("--filters", default=",".join(FILTERS))
-        p.add_argument("--min-mentions", type=int, default=10)
-        p.add_argument("--min-duration", type=float, default=2.0)
-        p.add_argument("--top-k", type=int, default=1000)
-        p.add_argument("--top-fraction", default="1/1000")
-        p.add_argument("--underfull-policy", choices=("drop-month", "keep-all", "fail"),
-                       default="drop-month")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        _add_recognizer_args(p)
-        if with_stats:
-            p.add_argument("--reps", type=int, default=25000, help="bootstrap resamples")
-            p.add_argument("--level", type=float, default=0.99)
-            p.add_argument("--tail-quantile", type=float, default=0.8)
-            p.add_argument("--widths", default="3,60",
-                           help="cohort widths in months; the widest feeds the summary table")
-        p.add_argument("--out-dir", type=Path, required=True)
-
     p = sub.add_parser("periods", help="compute fame periods -> periods_<method>_<filter>.csv")
-    add_pipeline_args(p, with_stats=False)
+    _add_input_args(p)
+    _add_pipeline_args(p)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--timelines", help="also persist timelines TSV under this name")
-    p.set_defaults(func=_cmd_periods, reps=25000, level=0.99, tail_quantile=0.8,
-                   widths="3,60")
+    p.set_defaults(func=_cmd_periods)
 
     p = sub.add_parser("stats", help="statistics artifacts for existing periods CSVs")
     p.add_argument("--periods", type=Path, nargs="+", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=25000)
-    p.add_argument("--level", type=float, default=0.99)
-    p.add_argument("--tail-quantile", type=float, default=0.8)
-    p.add_argument("--widths", default="3,60",
-                   help="cohort widths in months; the widest feeds curves and fits")
+    _add_bootstrap_args(p, widths=True)
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("report", help="summary table + manifest from periods CSVs")
     p.add_argument("--periods", type=Path, nargs="+", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=25000)
-    p.add_argument("--level", type=float, default=0.99)
-    p.add_argument("--tail-quantile", type=float, default=0.8)
+    _add_bootstrap_args(p, widths=False)
     p.add_argument("--width", type=int, default=WIDTH_5_YEARS,
                    help="summary cohort width in months")
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("run", help="end-to-end pipeline")
-    add_pipeline_args(p, with_stats=True)
+    _add_input_args(p)
+    _add_pipeline_args(p)
+    _add_bootstrap_args(p, widths=True)
+    p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("fixture", help="write a bundled disagreement fixture as timelines TSV")

@@ -4,7 +4,7 @@ Timestamps arrive as ISO-8601 strings at either day or sub-day precision
 and are kept at the finest precision given: day-precision values stay
 ``datetime.date``, finer ones become naive-UTC ``datetime.datetime``.
 Internally the number-crunching modules work on integer microseconds
-since the Unix epoch (``numpy.datetime64[us]``), which makes gap and
+since the Unix epoch (int64 arrays of them), which makes gap and
 binning arithmetic exact instead of float-fuzzy.
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import re
 from datetime import date, datetime, timedelta, timezone
-
-import numpy as np
 
 US_PER_DAY = 86_400_000_000
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -58,14 +56,6 @@ def from_epoch_us(us: int) -> Timestamp:
     return datetime(d.year, d.month, d.day) + timedelta(microseconds=rem)
 
 
-def ts64(ts: Timestamp) -> np.datetime64:
-    return np.datetime64(epoch_us(ts), "us")
-
-
-def ts64_to_timestamp(value: np.datetime64) -> Timestamp:
-    return from_epoch_us(int(value.astype("datetime64[us]").astype(np.int64)))
-
-
 def iso(ts: Timestamp) -> str:
     """Canonical ISO text: plain date for day precision, 'T'-separated otherwise."""
     return ts.isoformat()
@@ -77,15 +67,6 @@ def month_of(ts: Timestamp) -> tuple[int, int]:
 
 def month_start(year: int, month: int) -> date:
     return date(year, month, 1)
-
-
-def next_month(year: int, month: int) -> tuple[int, int]:
-    return (year + 1, 1) if month == 12 else (year, month + 1)
-
-
-def add_months(year: int, month: int, n: int) -> tuple[int, int]:
-    idx = year * 12 + (month - 1) + n
-    return idx // 12, idx % 12 + 1
 
 
 def month_index(year: int, month: int) -> int:

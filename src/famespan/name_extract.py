@@ -83,6 +83,17 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     return frozenset(entries)
 
 
+def load_recognizer(
+    gazetteer: str | Path, honorifics: str | Path | None = None, stoplist: str | Path | None = None
+) -> RecognizerConfig:
+    """Recognizer from word-list files; built-in defaults for the lists not given."""
+    return RecognizerConfig(
+        given_name_gazetteer=load_wordlist(gazetteer),
+        honorifics=load_wordlist(honorifics) if honorifics else DEFAULT_HONORIFICS,
+        stop_capitalized=load_wordlist(stoplist) if stoplist else DEFAULT_STOP_CAPITALIZED,
+    )
+
+
 class _Token(NamedTuple):
     raw: str
     start: int

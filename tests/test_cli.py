@@ -1,12 +1,10 @@
+import argparse
 import json
 from datetime import date
 
 import pytest
 
-from famespan.cli import detect_periods, main
-from famespan.corpus_io import AnalysisWindow
-from famespan.peaks import METHOD_CONTINUITY, METHOD_SPIKE, WeekGrid
-from famespan.timeline import Timeline
+from famespan.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +44,13 @@ def corpus_path(synth_spec_path, tmp_path_factory):
     return out
 
 
-RUN_ARGS = [
+SAMPLING_ARGS = [
     "--schema", "pretagged",
     "--window", "2005-01", "2005-07",
     "--n-min", "300",
     "--seed", "7",
-    "--reps", "100",
 ]
+RUN_ARGS = [*SAMPLING_ARGS, "--reps", "100"]
 
 
 def run_to(corpus, out_dir, extra=()):
@@ -243,16 +241,53 @@ def test_stats_error_exit_code_and_cleanup(tmp_path):
     assert list(out.iterdir()) == []  # partial artifacts removed
 
 
-def test_detect_periods_worker_count_does_not_change_result(corpus_path):
-    window = AnalysisWindow(date(2005, 1, 1), date(2005, 7, 1))
-    grid = WeekGrid.for_window(window)
-    timelines = {
-        f"n{i}": Timeline.from_pairs(f"n{i}", [(date(2005, 2, 1 + j), 1) for j in range(i + 2)])
-        for i in range(8)
+def test_periods_subcommand_matches_run_artifacts(tmp_path, corpus_path, capsys):
+    out = tmp_path / "out"
+    assert run_to(corpus_path, out) == 0
+    stages = tmp_path / "stages"
+    capsys.readouterr()
+    assert main(["periods", "--input", str(corpus_path), "--out-dir", str(stages),
+                 *SAMPLING_ARGS]) == 0
+    assert capsys.readouterr().out == f"wrote 6 period files to {stages}\n"
+    periods_files = sorted(p.name for p in stages.glob("periods_*.csv"))
+    assert len(periods_files) == 6
+    for name in [*periods_files, "sampling_report.csv"]:
+        assert (stages / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_sample_report_matches_run_sampling_report(tmp_path, corpus_path):
+    out = tmp_path / "out"
+    assert run_to(corpus_path, out) == 0
+    report = tmp_path / "volumes.csv"
+    assert main(
+        ["sample", "--input", str(corpus_path), *SAMPLING_ARGS,
+         "--out", str(tmp_path / "sampled.jsonl"), "--report", str(report)]
+    ) == 0
+    assert report.read_bytes() == (out / "sampling_report.csv").read_bytes()
+
+
+INPUT_FLAGS = {"--input", "--schema", "--window", "--n-min", "--seed", "--underfull-policy"}
+PIPELINE_FLAGS = {"--methods", "--filters", "--min-mentions", "--min-duration", "--top-k",
+                  "--top-fraction", "--gazetteer", "--honorifics", "--stoplist"}
+BOOTSTRAP_FLAGS = {"--reps", "--level", "--tail-quantile"}
+EXPECTED_FLAGS = {
+    "synth": {"--spec", "--seed", "--out"},
+    "extract": {"--input", "--gazetteer", "--honorifics", "--stoplist", "--out"},
+    "sample": INPUT_FLAGS | {"--out", "--report"},
+    "periods": INPUT_FLAGS | PIPELINE_FLAGS | {"--out-dir", "--timelines"},
+    "stats": {"--periods", "--seed", "--widths", "--out-dir"} | BOOTSTRAP_FLAGS,
+    "report": {"--periods", "--seed", "--width", "--out-dir"} | BOOTSTRAP_FLAGS,
+    "run": INPUT_FLAGS | PIPELINE_FLAGS | BOOTSTRAP_FLAGS | {"--widths", "--out-dir"},
+    "fixture": {"--kind", "--out"},
+}
+
+
+def test_subcommand_flag_sets_are_pinned():
+    # a new option must show up here as a deliberate change to this table
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
     }
-    seq = detect_periods(timelines, METHOD_SPIKE, grid, workers=1)
-    par = detect_periods(timelines, METHOD_SPIKE, grid, workers=2)
-    assert seq == par
-    seq_c = detect_periods(timelines, METHOD_CONTINUITY, grid, workers=1)
-    par_c = detect_periods(timelines, METHOD_CONTINUITY, grid, workers=2)
-    assert seq_c == par_c
+    assert flags == EXPECTED_FLAGS
