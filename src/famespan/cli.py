@@ -74,6 +74,8 @@ _PERIODS_FILE_LABEL = {
     f"periods_{m}_{token}": (m, f) for m in METHODS for f, token in _FILTER_FILE_TOKEN.items()
 }
 
+_WORD_LISTS = ("gazetteer", "honorifics", "stoplist")
+
 T = TypeVar("T")
 
 
@@ -119,39 +121,51 @@ class RunConfig:
             return None
         return load_recognizer(self.gazetteer, self.honorifics, self.stoplist)
 
+    def recognizer_files(self) -> dict[str, Path]:
+        """The recognizer's word-list files that were given, by setting name."""
+        return {name: getattr(self, name) for name in _WORD_LISTS
+                if getattr(self, name) is not None}
+
     def as_manifest_dict(self) -> dict:
-        """Every setting but the recognizer's word-list paths, as JSON values."""
-        config = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("gazetteer", "honorifics", "stoplist")
-        }
+        """Every setting as JSON values; a word-list path appears only when
+        given, and its digest goes with the other inputs."""
+        config = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _WORD_LISTS}
+        config.update({name: str(path) for name, path in self.recognizer_files().items()})
         config["window"] = [self.window.start.isoformat(), self.window.end.isoformat()]
         config["top_fraction"] = str(self.top_fraction)
         return config
 
 
-class _ArtifactDir:
-    """Tracks files written into out_dir; leaving its ``with`` block by an
+class _Outputs:
+    """Tracks the files a command writes; leaving its ``with`` block by an
     exception removes them again, so failures leave nothing partial."""
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
+    def __init__(self):
         self.created: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
 
-    def path(self, name: str) -> Path:
-        p = self.out_dir / name
+    def track(self, p: Path) -> Path:
         self.created.append(p)
         return p
 
-    def __enter__(self) -> "_ArtifactDir":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
             for p in self.created:
                 p.unlink(missing_ok=True)
+
+
+class _ArtifactDir(_Outputs):
+    """Outputs named inside out_dir, which is created up front."""
+
+    def __init__(self, out_dir: Path):
+        super().__init__()
+        self.out_dir = out_dir
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+    def path(self, name: str) -> Path:
+        return self.track(self.out_dir / name)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +335,11 @@ def run_pipeline(cfg: RunConfig, inputs: Sequence[Path], out_dir: Path) -> list[
             summary_rows.extend(rep.summary_row(cs) for cs in stats)
         rep.write_summary_csv(summary_rows, art.path("summary.csv"))
         rep.write_summary_text(summary_rows, art.path("summary.txt"))
-        rep.write_manifest(cfg.as_manifest_dict(), inputs, art.path("manifest.json"))
+        rep.write_manifest(
+            cfg.as_manifest_dict(),
+            [*inputs, *cfg.recognizer_files().values()],
+            art.path("manifest.json"),
+        )
     return art.created
 
 
@@ -451,10 +469,14 @@ def _cmd_extract(args) -> int:
 
 def _cmd_sample(args) -> int:
     sampler_cfg = SamplerConfig(args.n_min, args.seed, args.underfull_policy)
-    n = ingest(
-        args.input, args.schema, _parse_window(args.window), sampler_cfg,
-        lambda docs: write_documents(docs, args.out), args.report,
-    )
+    window = _parse_window(args.window)
+    with _Outputs() as outputs:
+        out = outputs.track(args.out)
+        report = outputs.track(args.report) if args.report else None
+        n = ingest(
+            args.input, args.schema, window, sampler_cfg,
+            lambda docs: write_documents(docs, out), report,
+        )
     print(f"kept {n} documents -> {args.out}")
     return 0
 
@@ -547,7 +569,7 @@ file formats (all UTF-8, LF newlines):
   fits JSON         {cohort label: {alpha,d_min,n_tail,lo,hi,reps,seed}}
   summary CSV/text  method,filtering,period,p50 (lo..hi),p90 (lo..hi),p99 (lo..hi),alpha (lo..hi)
   sampling report   month,n_t,kept
-  manifest JSON     config + sha256 of every input
+  manifest JSON     config + sha256 of every input (corpus and word lists)
 """
 
 

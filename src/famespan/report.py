@@ -158,26 +158,30 @@ def compute_cohort_stats(
 
     The stage seed is derived from (master, method, filter, cohort), so
     any table cell can be recomputed in isolation from the periods CSV.
+    One bootstrap pass serves every statistic of the cell; the exponent
+    joins it only when the tail fit succeeds on the cohort itself.
     """
     seed = derive_seed(master_seed, "bootstrap", method, filter_name, cohort.label)
     durations = cohort.durations
-    qstats = [QuantileStatistic(q) for q in QUANTILE_LEVELS]
-    quantile_ivs = bootstrap_many(durations, qstats, reps=reps, level=level, seed=seed)
-    alpha_iv = fit = None
-    alpha_error = None
+    statistics = [QuantileStatistic(q) for q in QUANTILE_LEVELS]
+    fit = alpha_error = None
     try:
         fit = fit_power_law(durations, tail_quantile)
-        alpha_iv = bootstrap_many(
-            durations, [PowerLawAlphaStatistic(tail_quantile)], reps=reps, level=level, seed=seed
-        )["alpha"]
+        statistics.append(PowerLawAlphaStatistic(tail_quantile))
     except StatsError as exc:
         alpha_error = f"{type(exc).__name__}: {exc}"
+    # quantiles never fail on a resample; only the exponent can be unstable
+    intervals = bootstrap_many(durations, statistics, reps=reps, level=level, seed=seed)
+    alpha_iv = intervals.pop("alpha", None)
+    if isinstance(alpha_iv, StatsError):
+        alpha_error = f"{type(alpha_iv).__name__}: {alpha_iv}"
+        alpha_iv = None
     return CohortStats(
         method=method,
         filter_name=filter_name,
         cohort=cohort,
         n=int(durations.size),
-        quantiles=quantile_ivs,
+        quantiles=intervals,
         alpha=alpha_iv,
         fit=fit,
         alpha_error=alpha_error,

@@ -11,7 +11,16 @@ Conventions used throughout:
   (density ~ d^alpha with alpha around -2.5).
 * Bootstrap resample r is a pure function of (seed, r), so replicates can
   be evaluated in any order, in parallel, or in shared batches and still
-  reproduce bit-identically.
+  reproduce bit-identically.  Index i of resample r comes from a
+  counter-based generator: the SplitMix64 finaliser hashes (seed, r, i)
+  into a 64-bit word, and Lemire's multiply-shift maps the word to an
+  exactly uniform index in [0, n), re-hashing the rare biased word.  A
+  whole batch of resamples is one numpy computation, and neither the batch
+  size nor reps changes any resample.
+* One bootstrap pass per cohort: bootstrap_many evaluates every statistic
+  of a table cell on the same sorted resamples, and a statistic that fails
+  too often reports its own UnstableStatistic without costing the others
+  their intervals.
 """
 
 from __future__ import annotations
@@ -201,28 +210,101 @@ class PowerLawAlphaStatistic:
 Statistic = QuantileStatistic | PowerLawAlphaStatistic
 
 
+# Keyed resampling (see the module docstring).  Every operand is np.uint64,
+# so the wrapping arithmetic is the same on numpy 1.24 and 2.x.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_S27, _S30, _S31, _S32 = (np.uint64(k) for k in (27, 30, 31, 32))
+# Index elements per resampling batch; bounds the batch's working arrays.
+_BATCH_ELEMENTS = 1_000_000
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser, in place on a uint64 array."""
+    with np.errstate(over="ignore"):
+        z ^= z >> _S30
+        z *= _MIX1
+        z ^= z >> _S27
+        z *= _MIX2
+        z ^= z >> _S31
+    return z
+
+
+def _multiply_shift(words: np.ndarray, n: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of words * n, for n < 2**32."""
+    with np.errstate(over="ignore"):
+        low = words * n
+        high = words >> _S32
+        high *= n
+        carry = words & _LOW32
+        carry *= n
+        carry >>= _S32
+        high += carry
+        high >>= _S32
+    return high, low
+
+
+def _bounded(words: np.ndarray, n: int) -> np.ndarray:
+    """Map uint64 words to exactly uniform int64 indices in [0, n).
+
+    Lemire's multiply-shift: the index is the high word of words * n.  A
+    low word below 2**64 mod n (a share below n / 2**64 of inputs) would
+    bias the result, so that word is re-hashed and drawn again; the index
+    stays a pure function of the input word.
+    """
+    if not 0 < n < 2**32:
+        raise ValueError(f"resample size must be in [1, 2**32), got {n}")
+    n64 = np.uint64(n)
+    threshold = np.uint64((2**64 - n) % n)
+    high, low = _multiply_shift(words, n64)
+    flat = high.reshape(-1)
+    redo = np.flatnonzero(low < threshold)
+    redrawn = words.reshape(-1)[redo]
+    while redo.size:
+        with np.errstate(over="ignore"):
+            redrawn = _mix64(redrawn + _GOLDEN)
+        high_r, low_r = _multiply_shift(redrawn, n64)
+        flat[redo] = high_r
+        keep = low_r < threshold
+        redo, redrawn = redo[keep], redrawn[keep]
+    return high.view(np.int64)
+
+
+def _resample_rows(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """Index rows of resamples first .. first+count-1, shape (count, n).
+
+    Row r hashes seed -> key, (key, r) -> row key and (row key, i) -> word,
+    each step a SplitMix64 counter: mix(key + (counter + 1) * golden).
+    """
+    key = _mix64(np.array([seed & _MASK64], dtype=np.uint64))
+    reps = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    cols = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        row_keys = _mix64(key + reps * _GOLDEN)
+        words = _mix64(row_keys[:, None] + cols * _GOLDEN)
+    return _bounded(words, n)
+
+
 def _resample_indices(seed: int, rep: int, n: int) -> np.ndarray:
-    rng = np.random.default_rng((seed & _MASK64, rep))
-    return rng.integers(0, n, size=n)
+    """The n indices of resample ``rep`` on its own (the single-row reference)."""
+    return _resample_rows(seed, rep, 1, n)[0]
 
 
 def _bootstrap_replicates(
     arr: np.ndarray, statistics: Sequence[Statistic], reps: int, seed: int
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Evaluate each statistic on every resample; batched to bound memory."""
+    """Evaluate each statistic on every resample, in batches of at most
+    _BATCH_ELEMENTS indices."""
     n = arr.size
-    batch = max(1, min(reps, 5_000_000 // max(n, 1)))
+    batch = max(1, min(reps, _BATCH_ELEMENTS // n))
     pieces: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {s.name: [] for s in statistics}
-    rep = 0
-    while rep < reps:
-        b = min(batch, reps - rep)
-        idx = np.empty((b, n), dtype=np.int64)
-        for i in range(b):
-            idx[i] = _resample_indices(seed, rep + i, n)
-        rows = np.sort(arr[idx], axis=1)
+    for first in range(0, reps, batch):
+        rows = arr[_resample_rows(seed, first, min(batch, reps - first), n)]
+        rows.sort(axis=1)
         for stat in statistics:
             pieces[stat.name].append(stat.on_sorted_rows(rows))
-        rep += b
     return {
         name: (np.concatenate([v for v, _ in parts]), np.concatenate([ok for _, ok in parts]))
         for name, parts in pieces.items()
@@ -243,7 +325,12 @@ def bootstrap(
     statistic fails are dropped; more than 1% of failures aborts with
     UnstableStatistic.
     """
-    return bootstrap_many(values, [statistic], reps=reps, level=level, seed=seed)[statistic.name]
+    interval = bootstrap_many(values, [statistic], reps=reps, level=level, seed=seed)[
+        statistic.name
+    ]
+    if isinstance(interval, UnstableStatistic):
+        raise interval
+    return interval
 
 
 def bootstrap_many(
@@ -252,12 +339,14 @@ def bootstrap_many(
     reps: int = 25000,
     level: float = 0.99,
     seed: int = 0,
-) -> dict[str, BootstrapInterval]:
+) -> dict[str, BootstrapInterval | UnstableStatistic]:
     """Bootstrap several statistics on shared resamples.
 
     Because resample r depends only on (seed, r), this returns exactly
     what separate bootstrap() calls with the same seed would return,
-    while paying for the resampling and sorting once.
+    while paying for the resampling and sorting once.  A statistic that
+    fails on more than 1% of the resamples maps to its UnstableStatistic
+    instead of an interval; the other statistics keep theirs.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
@@ -268,14 +357,15 @@ def bootstrap_many(
         raise ValueError(f"level must be in (0, 1), got {level}")
     points = {s.name: s.compute(arr) for s in statistics}
     replicates = _bootstrap_replicates(arr, statistics, reps, seed)
-    out: dict[str, BootstrapInterval] = {}
+    out: dict[str, BootstrapInterval | UnstableStatistic] = {}
     for stat in statistics:
         vals, ok = replicates[stat.name]
         failures = int((~ok).sum())
         if failures > 0.01 * reps:
-            raise UnstableStatistic(
+            out[stat.name] = UnstableStatistic(
                 f"{stat.name} failed on {failures}/{reps} resamples (> 1%)"
             )
+            continue
         good = vals[ok]
         out[stat.name] = BootstrapInterval(
             point=points[stat.name],

@@ -141,6 +141,19 @@ def test_sample_subcommand(tmp_path, corpus_path):
     assert len(lines) == 7
 
 
+def test_failed_sample_leaves_no_output(tmp_path, corpus_path):
+    out = tmp_path / "sampled.jsonl"
+    report = tmp_path / "volumes.csv"
+    code = main(
+        ["sample", "--input", str(corpus_path), "--window", "2005-01", "2005-07",
+         "--n-min", "100000", "--underfull-policy", "fail", "--seed", "5",
+         "--out", str(out), "--report", str(report)]
+    )
+    assert code == 3
+    assert not out.exists()
+    assert not report.exists()
+
+
 def test_extract_subcommand(tmp_path):
     raw = tmp_path / "raw.jsonl"
     raw.write_text(
@@ -162,7 +175,7 @@ def test_fixture_subcommand(tmp_path):
     assert out.read_text().startswith("monroe-like\t")
 
 
-def test_run_on_raw_corpus_with_recognizer(tmp_path):
+def _raw_corpus(tmp_path):
     raw = tmp_path / "raw.jsonl"
     rows = []
     day = date(2005, 1, 2)
@@ -176,18 +189,55 @@ def test_run_on_raw_corpus_with_recognizer(tmp_path):
         day = date.fromordinal(day.toordinal() + 3)
         i += 1
     raw.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    gaz = tmp_path / "gaz.txt"
-    gaz.write_text("Ada\n", encoding="utf-8")
-    out = tmp_path / "out"
-    code = main([
+    return raw
+
+
+def _run_raw(raw, gaz, out):
+    return main([
         "run", "--input", str(raw), "--schema", "raw", "--gazetteer", str(gaz),
         "--window", "2005-01", "2006-01", "--n-min", "8", "--seed", "3",
         "--reps", "50", "--out-dir", str(out),
     ])
-    assert code == 0
+
+
+def test_run_on_raw_corpus_with_recognizer(tmp_path):
+    raw = _raw_corpus(tmp_path)
+    gaz = tmp_path / "gaz.txt"
+    gaz.write_text("Ada\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run_raw(raw, gaz, out) == 0
     periods = (out / "periods_continuity_all.csv").read_text().splitlines()
     assert len(periods) == 2  # header + the one recognized name
     assert periods[1].startswith("Ada Lovelace,continuity,")
+
+
+def test_manifest_records_recognizer_word_lists(tmp_path):
+    # gazetteers one name apart: same periods, different manifests
+    from famespan.report import sha256_file
+
+    raw = _raw_corpus(tmp_path)
+    manifests = []
+    for i, names in enumerate(["Ada\n", "Ada\nGrace\n"]):
+        gaz = tmp_path / f"gaz{i}.txt"
+        gaz.write_text(names, encoding="utf-8")
+        out = tmp_path / f"out{i}"
+        assert _run_raw(raw, gaz, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["gazetteer"] == str(gaz)
+        assert manifest["inputs"][str(gaz)] == sha256_file(gaz)
+        assert "honorifics" not in manifest["config"]
+        manifests.append((out / "manifest.json").read_bytes())
+    assert (tmp_path / "out0" / "periods_continuity_all.csv").read_bytes() == \
+        (tmp_path / "out1" / "periods_continuity_all.csv").read_bytes()
+    assert manifests[0] != manifests[1]
+
+
+def test_pretagged_manifest_lists_only_the_corpus(tmp_path, corpus_path):
+    out = tmp_path / "out"
+    assert run_to(corpus_path, out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["inputs"]) == [str(corpus_path)]
+    assert not {"gazetteer", "honorifics", "stoplist"} & set(manifest["config"])
 
 
 def test_raw_schema_requires_gazetteer(tmp_path, corpus_path):

@@ -154,3 +154,42 @@ def test_manifest_tracks_input_bytes(tmp_path):
     write_manifest({"seed": 1}, [f], m3)
     assert m1.read_bytes() != m3.read_bytes()
     assert sha256_file(f) in m3.read_text()
+
+
+def _cohort_of(durations):
+    periods = [period(date(1946, 1, 10), d, name=f"n{i}") for i, d in enumerate(durations)]
+    return assign_cohorts(periods, WIDTH_5_YEARS)[0]
+
+
+def test_unstable_alpha_keeps_quantile_intervals():
+    # the point fit barely passes (exactly 10 tail values), most resamples fail
+    cohort = _cohort_of([7.0] * 40 + list(range(8, 18)))
+    cs = compute_cohort_stats(METHOD_CONTINUITY, "all", cohort, master_seed=2, reps=500,
+                              level=0.99)
+    assert cs.fit is not None and cs.alpha is None
+    assert cs.alpha_error.startswith("UnstableStatistic: alpha failed on ")
+    assert set(cs.quantiles) == {"p50", "p90", "p99"}
+    assert all(iv.lo <= iv.point <= iv.hi for iv in cs.quantiles.values())
+    assert summary_row(cs)[6] == NA
+
+
+@pytest.mark.parametrize("durations, with_alpha", [
+    ((7.0 * (1.0 - np.random.default_rng(3).random(300)) ** (-1 / 1.5)).tolist(), True),
+    ([7] * 10 + [9], False),
+])
+def test_one_bootstrap_pass_per_cell(monkeypatch, durations, with_alpha):
+    import famespan.report as report
+
+    calls = []
+    real = report.bootstrap_many
+
+    def counting(values, statistics, **kwargs):
+        calls.append([s.name for s in statistics])
+        return real(values, statistics, **kwargs)
+
+    monkeypatch.setattr(report, "bootstrap_many", counting)
+    cs = compute_cohort_stats(METHOD_SPIKE, "all", _cohort_of(durations), master_seed=2,
+                              reps=60, level=0.99)
+    expected = ["p50", "p90", "p99"] + (["alpha"] if with_alpha else [])
+    assert calls == [expected]
+    assert (cs.alpha is not None) == with_alpha

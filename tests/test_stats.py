@@ -1,3 +1,4 @@
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -253,3 +254,164 @@ def test_derive_seed_is_stable_and_distinct():
     d = derive_seed(43, "bootstrap", "spike", "all", "1905-9")
     assert a == b
     assert len({a, c, d}) == 3
+
+
+# -- keyed resampling: reference arithmetic in exact Python integers --------
+
+_M64 = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _ref_mix(z):
+    z = ((z ^ (z >> 30)) * _MIX[0]) & _M64
+    z = ((z ^ (z >> 27)) * _MIX[1]) & _M64
+    return z ^ (z >> 31)
+
+
+def _ref_unmix(z):
+    # inverse of _ref_mix, for crafting words whose re-draw is rejected too
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(_MIX[1], -1, 2**64)) & _M64, 27)
+    return unshift((z * pow(_MIX[0], -1, 2**64)) & _M64, 30)
+
+
+def _ref_bounded(word, n):
+    threshold = 2**64 % n
+    while (word * n) & _M64 < threshold:
+        word = _ref_mix((word + _GOLDEN) & _M64)
+    return (word * n) >> 64
+
+
+def _ref_index(seed, rep, i, n):
+    key = _ref_mix(seed & _M64)
+    row_key = _ref_mix((key + (rep + 1) * _GOLDEN) & _M64)
+    return _ref_bounded(_ref_mix((row_key + (i + 1) * _GOLDEN) & _M64), n)
+
+
+class TestKeyedResampling:
+    def test_matches_exact_integer_reference(self):
+        from famespan.stats import _resample_indices
+
+        for seed, rep, n in [(0, 0, 1), (44, 7, 13), (2**64 - 1, 24999, 150), (-3, 2, 1000)]:
+            expected = [_ref_index(seed, rep, i, n) for i in range(n)]
+            assert _resample_indices(seed, rep, n).tolist() == expected
+
+    def test_bounded_rejection_branch_redraws(self):
+        from famespan.stats import _bounded
+
+        n = 3_000_000_007
+        threshold = 2**64 % n
+        # ceil(k * 2**64 / n) puts the low word of word * n in [0, n); keep
+        # the words whose low word falls under the bias threshold
+        crafted = [-(-k * 2**64 // n) for k in range(1, 400)]
+        rejected = [w for w in crafted if (w * n) & _M64 < threshold]
+        assert rejected
+        twice = (_ref_unmix(rejected[0]) - _GOLDEN) & _M64  # its re-draw is rejected too
+        assert _ref_mix((twice + _GOLDEN) & _M64) == rejected[0]
+        words = [0, twice, *rejected, *crafted[:50]]
+        got = _bounded(np.array(words, dtype=np.uint64), n)
+        assert got.tolist() == [_ref_bounded(w, n) for w in words]
+        assert all(0 <= g < n for g in got.tolist())
+        # n = 6: 2**64 mod 6 = 4, so word 0 (low word 0) is always redrawn
+        assert _bounded(np.array([0], dtype=np.uint64), 6)[0] == _ref_bounded(0, 6)
+
+    def test_rows_are_batch_independent(self, monkeypatch):
+        # a batch of 7 rows puts boundaries inside reps=20; every row the
+        # bootstrap draws equals the single-row reference
+        from famespan import stats
+
+        reference = stats._resample_rows
+        drawn = []
+
+        def recording(seed, first, count, n):
+            rows = reference(seed, first, count, n)
+            drawn.append((first, rows))
+            return rows
+
+        values = np.random.default_rng(3).exponential(size=41)
+        whole = stats._bootstrap_replicates(values, [QuantileStatistic(0.5)], 20, 8)
+        monkeypatch.setattr(stats, "_BATCH_ELEMENTS", 7 * values.size + 3)
+        monkeypatch.setattr(stats, "_resample_rows", recording)
+        batched = stats._bootstrap_replicates(values, [QuantileStatistic(0.5)], 20, 8)
+        monkeypatch.undo()
+        assert [first for first, _ in drawn] == [0, 7, 14]
+        rows = np.concatenate([r for _, r in drawn])
+        assert rows.shape == (20, values.size)
+        for r in range(20):
+            assert np.array_equal(rows[r], stats._resample_indices(8, r, values.size))
+        assert np.array_equal(whole["p50"][0], batched["p50"][0])
+
+    def test_first_replicates_do_not_depend_on_reps(self):
+        from famespan.stats import _bootstrap_replicates
+
+        values = power_law_samples(2.5, 7.0, 300, seed=4)
+        stats = [QuantileStatistic(0.9), PowerLawAlphaStatistic()]
+        short = _bootstrap_replicates(values, stats, 37, 91)
+        long = _bootstrap_replicates(values, stats, 5000, 91)
+        for name in ("p90", "alpha"):
+            assert np.array_equal(short[name][0], long[name][0][:37])
+            assert np.array_equal(short[name][1], long[name][1][:37])
+
+    @pytest.mark.parametrize("n, reps, limit", [(7, 30000, 93.22), (150, 4000, 221.90)])
+    def test_indices_uniform_chi_square(self, n, reps, limit):
+        # n = 7: the (position, index) table, 48 degrees of freedom;
+        # n = 150: the index counts, 149 degrees of freedom; limits are the
+        # chi-square quantiles at p = 1e-4
+        from famespan.stats import _resample_rows
+
+        rows = _resample_rows(2024, 0, reps, n)
+        assert rows.min() >= 0 and rows.max() < n
+        if n == 7:
+            cells = np.bincount((np.arange(n) * n + rows).ravel(), minlength=n * n)
+        else:
+            cells = np.bincount(rows.ravel(), minlength=n)
+        expected = rows.size / cells.size
+        assert ((cells - expected) ** 2 / expected).sum() < limit
+
+
+def _log_binom_pmf(n, k, p):
+    if p <= 0.0:
+        return 0.0 if k == 0 else -math.inf
+    if p >= 1.0:
+        return 0.0 if k == n else -math.inf
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def _binom_sf(n, p, k):
+    """P(Bin(n, p) >= k)."""
+    return min(1.0, sum(math.exp(_log_binom_pmf(n, j, p)) for j in range(max(k, 0), n + 1)))
+
+
+def test_quantile_interval_ends_match_exact_bootstrap_distribution():
+    # The bootstrap nearest-rank q-quantile is <= v exactly when at least
+    # k = ceil(q*n) of the n draws are <= v: G(v) = P(Bin(n, F(v)) >= k).
+    # Each interval end must be a plausible rank-ceil(0.005*reps) (lo) or
+    # rank-ceil(0.995*reps) (hi) order statistic of reps draws from G.
+    rng = np.random.default_rng(17)
+    reps, eps = 4000, 1e-6
+    for trial in range(4):
+        values = 7.0 * np.ceil(rng.pareto(1.3, size=int(rng.integers(20, 60))) * 3 + 1)
+        distinct = np.unique(values)
+        for q in (0.5, 0.9, 0.99):
+            k = math.ceil(q * values.size - 1e-9)
+            iv = bootstrap(values, QuantileStatistic(q), reps=reps, seed=derive_seed(5, trial))
+
+            def cdf(v):
+                return _binom_sf(values.size, float(np.mean(values <= v)), k)
+
+            for end, level in ((iv.lo, 0.005), (iv.hi, 0.995)):
+                rank = math.ceil(level * reps - 1e-9)
+                j = int(np.searchsorted(distinct, end))
+                assert distinct[j] == end
+                below = cdf(distinct[j - 1]) if j > 0 else 0.0
+                p_reach = _binom_sf(reps, cdf(end), rank)  # >= rank draws <= end
+                p_under = 1.0 - _binom_sf(reps, below, rank)  # < rank draws below end
+                assert p_reach > eps and p_under > eps, (trial, q, level, end)
