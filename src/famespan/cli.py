@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from array import array
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import report as rep
 from .corpus_io import (
@@ -36,7 +40,7 @@ from .corpus_io import (
     window_filter,
     write_documents,
 )
-from .dates import parse_month
+from .dates import month_index, parse_month
 from .errors import ConfigError, DataError, EmptyCohort, FamespanError
 from .fixtures import FIXTURE_KINDS, fixture_timeline
 from .name_extract import RecognizerConfig, load_recognizer, mentions_of
@@ -52,13 +56,14 @@ from .peaks import (
 from .sampler import (
     UNDERFULL_POLICIES,
     SamplerConfig,
-    month_volumes,
-    sample_uniform,
+    keep_score,
+    sample_columns,
     write_sampling_report,
 )
 from .stats import WIDTH_3_MONTHS, WIDTH_5_YEARS, assign_cohorts, cumulative_curve
 from .synth import generate_corpus, load_synth_spec
 from .timeline import (
+    MentionColumns,
     Timeline,
     basic_name_filter,
     build_timelines,
@@ -75,8 +80,6 @@ _PERIODS_FILE_LABEL = {
 }
 
 _WORD_LISTS = ("gazetteer", "honorifics", "stoplist")
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -172,43 +175,39 @@ class _ArtifactDir(_Outputs):
 # the pipeline, one implementation per stage
 
 
-def _read_windowed(inputs: Sequence[Path], schema: str, window: AnalysisWindow):
+def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_cfg: SamplerConfig,
+           collect: Callable[[Document], None], report_path: Path | None = None) -> np.ndarray:
+    """The one pass over the inputs: ``collect`` sees every windowed
+    document in input order, and the returned mask says which of them the
+    keyed sampler keeps; the sampling report is written from it."""
+    months, scores = array("i"), array("d")
     for path in inputs:
-        yield from window_filter(read_documents(path, schema), window)
-
-
-def ingest(
-    inputs: Sequence[Path],
-    schema: str,
-    window: AnalysisWindow,
-    sampler_cfg: SamplerConfig,
-    consume: Callable[[Iterator[Document]], T],
-    report_path: Path | None = None,
-) -> T:
-    """Month volumes, then a keyed-sampling pass whose kept documents
-    ``consume`` drains before the sampling report is written."""
-    volumes = month_volumes(_read_windowed(inputs, schema, window))
-    kept_counts: dict[tuple[int, int], int] = {}
-    sampled = sample_uniform(
-        _read_windowed(inputs, schema, window), volumes, sampler_cfg, kept_counts
-    )
-    result = consume(sampled)
+        for doc in window_filter(read_documents(path, schema), window):
+            months.append(month_index(doc.timestamp.year, doc.timestamp.month))
+            scores.append(keep_score(sampler_cfg.seed, doc.id))
+            collect(doc)
+    volumes, keep, kept_counts = sample_columns(months, scores, sampler_cfg)
     if report_path is not None:
         write_sampling_report(volumes, kept_counts, report_path)
-    return result
+    return keep
 
 
 def build_pipeline_timelines(
     cfg: RunConfig, inputs: Sequence[Path], report_path: Path | None = None
 ) -> dict[str, Timeline]:
-    """Ingest, then fold the kept documents' mentions into timelines."""
+    """Ingest, then cut the kept documents' mentions into timelines.  Raw
+    documents wait for the sampler, so only kept ones meet the recognizer."""
     recognizer = cfg.recognizer()
     sampler_cfg = SamplerConfig(cfg.n_min, cfg.seed, cfg.underfull_policy)
-    timelines = ingest(
-        inputs, cfg.schema, cfg.window, sampler_cfg,
-        lambda docs: build_timelines(m for doc in docs for m in mentions_of(doc, recognizer)),
-        report_path,
-    )
+    if cfg.schema == "raw":
+        docs: list[Document] = []
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, docs.append, report_path)
+        timelines = build_timelines(m for d in compress(docs, keep) for m in mentions_of(d, recognizer))
+    else:
+        cols = MentionColumns()
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg,
+                      lambda doc: cols.add(doc.timestamp, doc.mentions), report_path)
+        timelines = build_timelines(cols, keep)
     if not timelines:
         raise DataError("no mentions found inside the analysis window")
     return timelines
@@ -473,10 +472,9 @@ def _cmd_sample(args) -> int:
     with _Outputs() as outputs:
         out = outputs.track(args.out)
         report = outputs.track(args.report) if args.report else None
-        n = ingest(
-            args.input, args.schema, window, sampler_cfg,
-            lambda docs: write_documents(docs, out), report,
-        )
+        docs: list[Document] = []
+        keep = ingest(args.input, args.schema, window, sampler_cfg, docs.append, report)
+        n = write_documents(compress(docs, keep), out)
     print(f"kept {n} documents -> {args.out}")
     return 0
 
@@ -570,6 +568,8 @@ file formats (all UTF-8, LF newlines):
   summary CSV/text  method,filtering,period,p50 (lo..hi),p90 (lo..hi),p99 (lo..hi),alpha (lo..hi)
   sampling report   month,n_t,kept
   manifest JSON     config + sha256 of every input (corpus and word lists)
+timestamps: exactly YYYY-MM-DD or YYYY-MM-DDTHH:MM[:SS[.ffffff]], the latter
+  optionally with Z or +-HH:MM (converted to naive UTC); other forms are malformed
 """
 
 

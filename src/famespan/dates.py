@@ -11,31 +11,37 @@ binning arithmetic exact instead of float-fuzzy.
 from __future__ import annotations
 
 import re
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 
 US_PER_DAY = 86_400_000_000
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
+# YYYY-MM-DD or YYYY-MM-DDTHH:MM[:SS[.f]] (1-6 digits) [Z|+-HH:MM], ASCII digits
+_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})(?:T(\d{2}):(\d{2})(?::(\d{2})(?:\.(\d{1,6}))?)?"
+                           r"(Z|[+-](?:[01]\d|2[0-3]):[0-5]\d)?)?", re.ASCII)
 
 Timestamp = date | datetime
 
 
 def parse_timestamp(raw: str) -> Timestamp:
-    """Parse an ISO-8601 date or date-time; reject invalid calendar dates.
-
-    Date-times with a UTC offset are converted to UTC and returned naive.
+    """Parse ``YYYY-MM-DD`` or ``YYYY-MM-DDTHH:MM[:SS[.ffffff]]`` with an
+    optional ``Z`` or ``+-HH:MM``; every other form and invalid calendar
+    dates raise ValueError.  Offsets are converted to naive UTC.
     """
-    s = raw.strip()
-    m = _DATE_RE.match(s)
-    if m:
-        return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    if s.endswith("Z"):
-        s = s[:-1] + "+00:00"
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    return dt
+    m = _TIMESTAMP_RE.fullmatch(raw.strip())
+    if m is None:
+        raise ValueError(f"not a YYYY-MM-DD[THH:MM[:SS[.ffffff]]][Z|+-HH:MM] timestamp: {raw!r}")
+    y, mo, d, hh, mi, ss, frac, offset = m.groups()
+    if hh is None:
+        return date(int(y), int(mo), int(d))
+    dt = datetime(int(y), int(mo), int(d), int(hh), int(mi), int(ss or 0),
+                  int((frac or "0").ljust(6, "0")))
+    if offset in (None, "Z"):
+        return dt
+    try:
+        return dt - int(offset[0] + "1") * timedelta(hours=int(offset[1:3]), minutes=int(offset[4:]))
+    except OverflowError as exc:
+        raise ValueError(f"{raw!r} is out of range in UTC") from exc
 
 
 def epoch_us(ts: Timestamp) -> int:

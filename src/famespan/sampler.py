@@ -12,14 +12,17 @@ sufficiently full month is n_min.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .corpus_io import Document
-from .dates import month_of
-from .errors import ConfigError, DataError, UnderfullMonth
+from .dates import month_from_index, month_of
+from .errors import ConfigError, UnderfullMonth
 
 UNDERFULL_POLICIES = ("drop-month", "keep-all", "fail")
 
@@ -52,11 +55,7 @@ class SamplerConfig:
 
 def month_volumes(docs: Iterable[Document]) -> list[MonthVolume]:
     """Exact per-month document counts, sorted by month."""
-    counts: dict[tuple[int, int], int] = {}
-    for doc in docs:
-        key = month_of(doc.timestamp)
-        counts[key] = counts.get(key, 0) + 1
-    return [MonthVolume(month, counts[month]) for month in sorted(counts)]
+    return [MonthVolume(*kv) for kv in sorted(Counter(month_of(d.timestamp) for d in docs).items())]
 
 
 def keep_score(seed: int, doc_id: str) -> float:
@@ -64,6 +63,18 @@ def keep_score(seed: int, doc_id: str) -> float:
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     digest = blake2b(doc_id.encode("utf-8"), digest_size=8, key=key).digest()
     return int.from_bytes(digest, "little") / 2**64
+
+
+def keep_probabilities(volumes: list[MonthVolume], cfg: SamplerConfig) -> dict[tuple[int, int], float]:
+    """Each month's keep probability, min(1, n_min/n_t); months below
+    n_min follow cfg.underfull_policy."""
+    underfull = [vol for vol in volumes if vol.n_t < cfg.n_min]
+    if underfull and cfg.underfull_policy == "fail":
+        (year, month), n_t = underfull[0].month, underfull[0].n_t
+        raise UnderfullMonth(f"month {year:04d}-{month:02d} has {n_t} documents < n_min={cfg.n_min}")
+    fallback = 1.0 if cfg.underfull_policy == "keep-all" else 0.0
+    return {vol.month: min(1.0, cfg.n_min / vol.n_t) if vol.n_t >= cfg.n_min else fallback
+            for vol in volumes}
 
 
 def sample_uniform(
@@ -74,37 +85,31 @@ def sample_uniform(
 ) -> Iterator[Document]:
     """Keep each document in month t with probability min(1, n_min/n_t).
 
-    ``volumes`` must cover every month present in ``docs``.  Months whose
-    volume is below n_min follow cfg.underfull_policy.  Pass a dict as
-    ``kept_counts`` to collect per-month kept totals for the sampling
+    ``volumes`` must cover every month present in ``docs``.  Pass a dict
+    as ``kept_counts`` to collect per-month kept totals for the sampling
     report.
     """
-    probs: dict[tuple[int, int], float] = {}
-    for vol in volumes:
-        if vol.n_t >= cfg.n_min:
-            probs[vol.month] = min(1.0, cfg.n_min / vol.n_t)
-        elif cfg.underfull_policy == "drop-month":
-            probs[vol.month] = 0.0
-        elif cfg.underfull_policy == "keep-all":
-            probs[vol.month] = 1.0
-        else:
-            raise UnderfullMonth(
-                f"month {vol.month[0]:04d}-{vol.month[1]:02d} has {vol.n_t} documents "
-                f"< n_min={cfg.n_min}"
-            )
+    probs = keep_probabilities(volumes, cfg)
     for doc in docs:
         month = month_of(doc.timestamp)
-        try:
-            p = probs[month]
-        except KeyError:
-            raise DataError(
-                f"document {doc.id!r} in month {month[0]:04d}-{month[1]:02d} "
-                "not covered by the volume pass"
-            ) from None
+        p = probs[month]
         if p >= 1.0 or (p > 0.0 and keep_score(cfg.seed, doc.id) < p):
             if kept_counts is not None:
                 kept_counts[month] = kept_counts.get(month, 0) + 1
             yield doc
+
+
+def sample_columns(
+    months: Sequence[int], scores: Sequence[float], cfg: SamplerConfig
+) -> tuple[list[MonthVolume], np.ndarray, dict[tuple[int, int], int]]:
+    """sample_uniform over columns of month indices and keep_scores: the
+    month volumes, the keep mask and the kept count of each month."""
+    month_ids, inverse, n_t = np.unique(np.asarray(months), return_inverse=True, return_counts=True)
+    volumes = [MonthVolume(month_from_index(m), n) for m, n in zip(month_ids.tolist(), n_t.tolist())]
+    probs = keep_probabilities(volumes, cfg)
+    # scores lie in [0, 1), so this is p >= 1 or (p > 0 and score < p)
+    keep = np.asarray(scores) < np.array(list(probs.values()), dtype=np.float64)[inverse]
+    return volumes, keep, dict(zip(probs, np.bincount(inverse[keep], minlength=len(probs)).tolist()))
 
 
 def write_sampling_report(

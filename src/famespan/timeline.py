@@ -2,16 +2,17 @@
 
 A timeline is the multiset of timestamps at which a name appears.  It is
 stored as two parallel arrays (distinct timestamps in microseconds since
-the epoch, and their multiplicities), which keeps merging a cheap
-commutative fold and peak detection a pure array computation.
+the epoch, and their multiplicities), which keeps merging one sort over
+flat mention columns and peak detection a pure array computation.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,14 +35,10 @@ class Timeline:
     @classmethod
     def from_pairs(cls, name: str, pairs: Iterable[tuple[Timestamp | int, int]]) -> "Timeline":
         """Build from (timestamp, count) pairs; duplicates merge additively."""
-        acc: dict[int, int] = {}
-        for ts, count in pairs:
-            us = ts if isinstance(ts, int) else epoch_us(ts)
-            acc[us] = acc.get(us, 0) + count
-        times = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
-        counts = np.fromiter(acc.values(), dtype=np.int64, count=len(acc))
-        order = np.argsort(times, kind="stable")
-        return cls(name, times[order], counts[order])
+        timelines = build_timelines((name, ts, count) for ts, count in pairs)
+        if not timelines:
+            raise ValueError(f"timeline {name!r} is empty")
+        return timelines[name]
 
     @property
     def total(self) -> int:
@@ -68,22 +65,57 @@ class YearlyCount(NamedTuple):
     count: int
 
 
-def build_timelines(mentions: Iterable[Mention]) -> dict[str, Timeline]:
-    """Aggregate mentions into per-name timelines (order-independent merge)."""
-    acc: dict[str, dict[int, int]] = {}
-    for name, ts, count in mentions:
-        per_name = acc.get(name)
-        if per_name is None:
-            per_name = acc[name] = {}
-        us = epoch_us(ts)
-        per_name[us] = per_name.get(us, 0) + count
-    out: dict[str, Timeline] = {}
-    for name, per_name in acc.items():
-        times = np.fromiter(per_name.keys(), dtype=np.int64, count=len(per_name))
-        counts = np.fromiter(per_name.values(), dtype=np.int64, count=len(per_name))
-        order = np.argsort(times, kind="stable")
-        out[name] = Timeline(name, times[order], counts[order])
-    return out
+class MentionColumns:
+    """Mentions in flat columns, added a document at a time: an interned
+    name code and a count per mention, an epoch-µs time per document."""
+
+    def __init__(self, mentions: Iterable[Mention] = ()):
+        self.codes: dict[str, int] = {}
+        self.name_code, self.count = array("i"), array("q")
+        self.doc_us, self.doc_size = array("q"), array("i")
+        for name, ts, count in mentions:
+            self.add(ts, ((name, count),))
+
+    def add(self, ts: Timestamp | int, mentions: Sequence[tuple[str, int]]) -> None:
+        """One document's (name, count) mentions at time ``ts``."""
+        codes, name_code, count = self.codes, self.name_code, self.count
+        for name, n in mentions:
+            code = codes.get(name)
+            if code is None:
+                code = codes[name] = len(codes)
+            name_code.append(code)
+            count.append(n)
+        self.doc_us.append(ts if isinstance(ts, int) else epoch_us(ts))
+        self.doc_size.append(len(mentions))
+
+
+def build_timelines(
+    mentions: Iterable[Mention] | MentionColumns, keep: np.ndarray | None = None
+) -> dict[str, Timeline]:
+    """Aggregate mentions into per-name timelines (order-independent merge).
+
+    ``keep`` selects documents of a MentionColumns.  One lexsort by (name,
+    time), add.reduceat over each run of equal pairs, and every timeline is
+    a slice of the merged arrays.
+    """
+    cols = mentions if isinstance(mentions, MentionColumns) else MentionColumns(mentions)
+    size, doc_us = np.frombuffer(cols.doc_size, np.int32), np.frombuffer(cols.doc_us, np.int64)
+    code, count = np.frombuffer(cols.name_code, np.int32), np.frombuffer(cols.count, np.int64)
+    if keep is not None:
+        picked = np.repeat(keep, size)
+        code, count, doc_us, size = code[picked], count[picked], doc_us[keep], size[keep]
+    times = np.repeat(doc_us, size)
+    order = np.lexsort((times, code))
+    code, times, count = code[order], times[order], count[order]
+    if not len(code):
+        return {}
+    new_pair = (code[1:] != code[:-1]) | (times[1:] != times[:-1])
+    first = np.flatnonzero(np.concatenate(([True], new_pair)))
+    code, times, count = code[first], times[first], np.add.reduceat(count, first)
+    cut = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    names, bounds = list(cols.codes), np.append(cut, len(code)).tolist()
+    return {names[c]: Timeline(names[c], times[a:b], count[a:b])
+            for c, a, b in zip(code[cut].tolist(), bounds, bounds[1:])}
 
 
 def basic_name_filter(timelines: dict[str, Timeline], min_total: int = 10) -> dict[str, Timeline]:
@@ -152,12 +184,6 @@ def write_timelines_tsv(timelines: dict[str, Timeline], path: str | Path) -> Non
 
 
 def read_timelines_tsv(path: str | Path) -> dict[str, Timeline]:
-    acc: dict[str, list[tuple[int, int]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            name, ts_raw, count_raw = line.split("\t")
-            acc.setdefault(name, []).append((epoch_us(parse_timestamp(ts_raw)), int(count_raw)))
-    return {name: Timeline.from_pairs(name, pairs) for name, pairs in acc.items()}
+        rows = [line.rstrip("\n").split("\t") for line in fh if line.rstrip("\n")]
+    return build_timelines((name, parse_timestamp(ts), int(count)) for name, ts, count in rows)

@@ -1,6 +1,8 @@
 from datetime import date, datetime
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from famespan.dates import (
     epoch_us,
@@ -28,6 +30,44 @@ def test_timezone_normalized_to_utc_naive():
 def test_invalid_dates_rejected(raw):
     with pytest.raises(ValueError):
         parse_timestamp(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    "20050101",  # basic format
+    "2005-W01-1",  # week date
+    "2005-001",  # ordinal date
+    "2005-01",
+    "2005-01-01 12:00",  # space separator
+    "2005-01-01T12",  # hour only
+    "2005-01-01T1200",
+    "2005-01-01T12:00:00.1234567",  # seven fraction digits
+    "2005-01-01T12:00:00,5",
+    "2005-01-01Z",  # offset without a time
+    "2005-01-01T12:00z",
+    "2005-01-01T12:00+0200",
+    "2005-01-01T12:00+02",
+    "2005-01-01T12:00+24:00",
+    "2005-01-01T12:00+01:60",
+    "2005-01-01T24:00",
+    "0001-01-01T00:00+01:00",  # before year 1 in UTC
+    "\u0662\u0660\u0660\u0665-01-01",  # non-ASCII digits
+])
+def test_only_the_pinned_grammar_is_accepted(raw):
+    with pytest.raises(ValueError):
+        parse_timestamp(raw)
+
+
+def test_pinned_grammar_forms():
+    assert parse_timestamp("2009-07-01T13:45") == datetime(2009, 7, 1, 13, 45)
+    assert parse_timestamp("2009-07-01T13:45:07.5") == datetime(2009, 7, 1, 13, 45, 7, 500000)
+    assert parse_timestamp("2009-07-01T13:45:07.000001Z") == datetime(2009, 7, 1, 13, 45, 7, 1)
+    assert parse_timestamp("2009-07-01T20:15-06:30") == datetime(2009, 7, 2, 2, 45)
+    assert parse_timestamp(" 2009-07-01\n") == date(2009, 7, 1)
+
+
+@given(st.dates() | st.datetimes())
+def test_every_iso_string_round_trips(ts):
+    assert parse_timestamp(iso(ts)) == ts
 
 
 def test_extreme_years_representable():

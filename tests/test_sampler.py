@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from famespan.corpus_io import Document
-from famespan.errors import ConfigError, DataError, UnderfullMonth
+from famespan.errors import ConfigError, UnderfullMonth
 from famespan.sampler import (
     MonthVolume,
     SamplerConfig,
@@ -79,12 +79,6 @@ def test_underfull_policies():
     assert list(sample_uniform(docs, vols, SamplerConfig(100, 1, "keep-all"))) == docs
     with pytest.raises(UnderfullMonth):
         list(sample_uniform(docs, vols, SamplerConfig(100, 1, "fail")))
-
-
-def test_month_missing_from_volumes_is_data_error():
-    docs = docs_in_month(1900, 1, 5)
-    with pytest.raises(DataError):
-        list(sample_uniform(docs, [MonthVolume((1900, 2), 5)], SamplerConfig(1, 1)))
 
 
 def test_config_validation():
