@@ -141,13 +141,15 @@ def period_filter(
 ) -> list[FamePeriod]:
     """Drop too-short periods and periods censored by the window end.
 
-    A period whose end reaches the window boundary might have extended
-    further had the corpus continued, so it is removed rather than
-    under-measured.
+    A spike period whose end reaches the window boundary, or a continuity
+    period whose last mention lies within 7 days of it (a mention just past
+    the end would have continued the run), might have extended further had
+    the corpus continued, so it is removed rather than under-measured.
     """
     end_limit = epoch_us(window.end)
     return [
         p
         for p in periods
-        if p.duration_days >= min_duration and epoch_us(p.end) < end_limit
+        if p.duration_days >= min_duration
+        and epoch_us(p.end) + (WEEK_US if p.method == METHOD_CONTINUITY else 0) < end_limit
     ]

@@ -8,6 +8,7 @@ from famespan.corpus_io import AnalysisWindow
 from famespan.dates import US_PER_DAY, epoch_us
 from famespan.peaks import (
     METHOD_CONTINUITY,
+    METHOD_SPIKE,
     FamePeriod,
     WeekGrid,
     continuity_period,
@@ -135,9 +136,36 @@ class TestPeriodFilter:
         assert [p.duration_days for p in kept] == [2.0]
 
     def test_period_ending_at_window_end_removed(self):
-        ending_at_edge = self.mk(364, 2)
+        ending_at_edge = self.mk(359, 7, method=METHOD_SPIKE)  # the week of Monday 2000-12-25
         assert ending_at_edge.end == self.WINDOW.end
         assert period_filter([ending_at_edge], self.WINDOW) == []
+
+    def daily_run(self, first: date, last: date):
+        days = range((last - first).days + 1)
+        return Timeline.from_pairs("x", [(first + timedelta(days=d), 1) for d in days])
+
+    def test_continuity_run_into_the_last_week_removed(self):
+        t = self.daily_run(date(2000, 12, 2), date(2000, 12, 31))
+        p = continuity_period(t)
+        assert p.end == date(2000, 12, 31) and p.duration_days == 29.0
+        assert period_filter([p], self.WINDOW) == []
+        assert period_filter([spike_period(t, WeekGrid.for_window(self.WINDOW))], self.WINDOW) == []
+
+    def test_continuity_censoring_boundary(self):
+        # a mention on 2001-01-01 would continue a run ending 2000-12-25
+        # (gap of 7 days) but not one ending 2000-12-24 (gap of 8 days)
+        for last, kept in ((date(2000, 12, 24), 1), (date(2000, 12, 25), 0)):
+            p = continuity_period(self.daily_run(date(2000, 11, 20), last))
+            assert p.end == last
+            assert len(period_filter([p], self.WINDOW)) == kept
+
+    def test_continuity_censoring_with_time_of_day(self):
+        for last, kept in ((datetime(2000, 12, 24, 12), 1), (datetime(2000, 12, 25, 6), 0)):
+            t = self.daily_run(date(2000, 12, 10), date(2000, 12, 24))
+            t = Timeline.from_pairs("x", [*zip(t.times_us.tolist(), t.counts.tolist()), (last, 1)])
+            p = continuity_period(t)
+            assert p.end == last
+            assert len(period_filter([p], self.WINDOW)) == kept
 
     def test_period_ending_inside_kept(self):
         assert len(period_filter([self.mk(100, 14)], self.WINDOW)) == 1
