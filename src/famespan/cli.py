@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from array import array
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from fractions import Fraction
@@ -180,6 +179,7 @@ def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_
     """The one pass over the inputs: ``collect`` sees every windowed
     document in input order, and the returned mask says which of them the
     keyed sampler keeps; the sampling report is written from it."""
+    from array import array  # imported on use, so stats and report load less
     months, scores = array("i"), array("d")
     for path in inputs:
         for doc in window_filter(read_documents(path, schema), window):

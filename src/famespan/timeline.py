@@ -9,7 +9,6 @@ flat mention columns and peak detection a pure array computation.
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -70,6 +69,7 @@ class MentionColumns:
     name code and a count per mention, an epoch-µs time per document."""
 
     def __init__(self, mentions: Iterable[Mention] = ()):
+        from array import array  # imported on use, so stats and report load less
         self.codes: dict[str, int] = {}
         self.name_code, self.count = array("i"), array("q")
         self.doc_us, self.doc_size = array("q"), array("i")
