@@ -35,11 +35,14 @@ from . import report as rep
 from .corpus_io import (
     AnalysisWindow,
     Document,
+    Payload,
+    Stamp,
+    as_document,
+    document_to_json,
     read_documents,
-    window_filter,
     write_documents,
 )
-from .dates import month_index, parse_month
+from .dates import parse_month
 from .errors import ConfigError, DataError, EmptyCohort, FamespanError
 from .fixtures import FIXTURE_KINDS, fixture_timeline
 from .name_extract import RecognizerConfig, load_recognizer, mentions_of
@@ -55,7 +58,7 @@ from .peaks import (
 from .sampler import (
     UNDERFULL_POLICIES,
     SamplerConfig,
-    keep_score,
+    keep_scorer,
     sample_columns,
     write_sampling_report,
 )
@@ -175,17 +178,20 @@ class _ArtifactDir(_Outputs):
 
 
 def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_cfg: SamplerConfig,
-           collect: Callable[[Document], None], report_path: Path | None = None) -> np.ndarray:
-    """The one pass over the inputs: ``collect`` sees every windowed
-    document in input order, and the returned mask says which of them the
-    keyed sampler keeps; the sampling report is written from it."""
+           collect: Callable[[str, Stamp, Payload], None], report_path: Path | None = None) -> np.ndarray:
+    """The one pass over the inputs: ``collect`` sees the record (id,
+    stamp, payload) of every windowed document in input order, and the
+    returned mask says which of them the keyed sampler keeps; the sampling
+    report is written from it."""
     from array import array  # imported on use, so stats and report load less
     months, scores = array("i"), array("d")
+    score = keep_scorer(sampler_cfg.seed)
     for path in inputs:
-        for doc in window_filter(read_documents(path, schema), window):
-            months.append(month_index(doc.timestamp.year, doc.timestamp.month))
-            scores.append(keep_score(sampler_cfg.seed, doc.id))
-            collect(doc)
+        for doc_id, stamp, payload in read_documents(path, schema).records(window):
+            if stamp.inside:
+                months.append(stamp.month)
+                scores.append(score(doc_id))
+                collect(doc_id, stamp, payload)
     volumes, keep, kept_counts = sample_columns(months, scores, sampler_cfg)
     if report_path is not None:
         write_sampling_report(volumes, kept_counts, report_path)
@@ -196,17 +202,19 @@ def build_pipeline_timelines(
     cfg: RunConfig, inputs: Sequence[Path], report_path: Path | None = None
 ) -> dict[str, Timeline]:
     """Ingest, then cut the kept documents' mentions into timelines.  Raw
-    documents wait for the sampler, so only kept ones meet the recognizer."""
+    documents wait for the sampler, so only kept ones meet the recognizer;
+    pre-tagged mentions go straight into columns."""
     recognizer = cfg.recognizer()
     sampler_cfg = SamplerConfig(cfg.n_min, cfg.seed, cfg.underfull_policy)
     if cfg.schema == "raw":
         docs: list[Document] = []
-        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, docs.append, report_path)
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg,
+                      lambda *record: docs.append(as_document(*record)), report_path)
         timelines = build_timelines(m for d in compress(docs, keep) for m in mentions_of(d, recognizer))
     else:
         cols = MentionColumns()
         keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg,
-                      lambda doc: cols.add(doc.timestamp, doc.mentions), report_path)
+                      lambda _id, stamp, mentions: cols.extend(stamp.us, *mentions), report_path)
         timelines = build_timelines(cols, keep)
     if not timelines:
         raise DataError("no mentions found inside the analysis window")
@@ -472,9 +480,10 @@ def _cmd_sample(args) -> int:
     with _Outputs() as outputs:
         out = outputs.track(args.out)
         report = outputs.track(args.report) if args.report else None
-        docs: list[Document] = []
-        keep = ingest(args.input, args.schema, window, sampler_cfg, docs.append, report)
-        n = write_documents(compress(docs, keep), out)
+        lines: list[str] = []
+        keep = ingest(args.input, args.schema, window, sampler_cfg,
+                      lambda *record: lines.append(document_to_json(as_document(*record))), report)
+        n = write_documents(compress(lines, keep), out)
     print(f"kept {n} documents -> {args.out}")
     return 0
 
@@ -559,7 +568,8 @@ FORMATS_EPILOG = """\
 file formats (all UTF-8, LF newlines):
   raw corpus        JSONL: {"id": str, "date": ISO-8601, "text": str}
   pretagged corpus  JSONL: {"id": str, "date": ISO-8601, "mentions": [[name, count], ...]}
-                    or TSV: date<TAB>name<TAB>count (one mention per line)
+                    or TSV: date<TAB>name<TAB>count (one mention per line; the id
+                    of line n is tsv:<first 16 hex of the file's sha256>:<n>)
   periods CSV       name,method,start,end,peak_date,duration_days
                     (ISO dates; fractional durations carry 3 decimals)
   series CSV        bucket_start,width,n,p50,p90,p99[,p50_lo,p50_hi,...]

@@ -6,7 +6,13 @@ Two line-oriented input schemas are supported, both UTF-8:
   (ISO-8601), ``text``.
 * ``pretagged``: JSON lines with ``id``, ``date``, ``mentions`` (array of
   ``[name, count]`` pairs), or a TSV variant ``date<TAB>name<TAB>count``
-  (one mention record per line; ids are synthesized from line numbers).
+  (one mention record per line; the id of line n is
+  ``tsv:<first 16 hex digits of the file's sha256>:<n>``).
+
+Each well-formed line becomes a record ``(id, Stamp, payload)``: the
+payload is the text of a raw line, or two parallel lists (names, counts)
+of a pre-tagged one.  A file's date strings are parsed once each; a
+DocumentReader yields its records as Documents.
 
 Malformed lines are counted and skipped; if more than 10% of non-blank
 lines are malformed the reader raises SchemaError at end of stream,
@@ -16,13 +22,14 @@ than dirty data.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Union
 
-from .dates import Timestamp, iso, parse_timestamp
+from .dates import Timestamp, epoch_us, iso, month_index, parse_timestamp
 from .errors import SchemaError
 
 MALFORMED_FRACTION_LIMIT = 0.10
@@ -73,6 +80,35 @@ class ReadStats:
     errors: list[str] = field(default_factory=list)
 
 
+class Stamp(NamedTuple):
+    """A parsed date string: the timestamp, its epoch microseconds, its
+    month index and whether it falls in the reader's window."""
+
+    timestamp: Timestamp
+    us: int
+    month: int
+    inside: bool
+
+
+class _Stamps(dict):
+    """One file's date memo: exact date string -> Stamp.  A string that
+    does not parse raises on every lookup and is never stored."""
+
+    def __init__(self, window: AnalysisWindow | None):
+        super().__init__()
+        self.window = window
+
+    def __missing__(self, raw: str) -> Stamp:
+        ts = parse_timestamp(raw)
+        inside = self.window is None or self.window.contains(ts)
+        stamp = self[raw] = Stamp(ts, epoch_us(ts), month_index(ts.year, ts.month), inside)
+        return stamp
+
+
+Payload = Union[str, tuple[list[str], list[int]]]
+Record = tuple[str, Stamp, Payload]
+
+
 class DocumentReader:
     """Iterable over one input file; exposes .stats once exhausted."""
 
@@ -84,8 +120,15 @@ class DocumentReader:
         self.stats = ReadStats()
 
     def __iter__(self) -> Iterator[Document]:
+        for record in self.records():
+            yield as_document(*record)
+
+    def records(self, window: AnalysisWindow | None = None) -> Iterator[Record]:
+        """The validated fields of each well-formed line, in file order;
+        ``Stamp.inside`` tells whether the line's date is in ``window``."""
         stats = self.stats
-        tsv_mode = None
+        stamps = _Stamps(window)
+        tsv_ids = None  # id prefix of a TSV file, "" for JSON lines
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stats.lines += 1
@@ -93,20 +136,21 @@ class DocumentReader:
                 if not stripped:
                     stats.blank += 1
                     continue
-                if tsv_mode is None:
-                    tsv_mode = self.schema == "pretagged" and not stripped.startswith("{")
+                if tsv_ids is None:
+                    tsv = self.schema == "pretagged" and not stripped.startswith("{")
+                    tsv_ids = f"tsv:{_file_digest(self.path)[:16]}:" if tsv else ""
                 try:
-                    if tsv_mode:
-                        doc = _parse_tsv_line(stripped, lineno)
+                    if tsv_ids:
+                        record = _parse_tsv_line(stripped, f"{tsv_ids}{lineno}", stamps)
                     else:
-                        doc = _parse_json_line(stripped, self.schema)
+                        record = _parse_json_line(stripped, self.schema, stamps)
                 except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
                     stats.malformed += 1
                     if len(stats.errors) < 10:
                         stats.errors.append(f"{self.path.name}:{lineno}: {exc}")
                     continue
                 stats.documents += 1
-                yield doc
+                yield record
         processed = stats.documents + stats.malformed
         if processed and stats.malformed / processed > MALFORMED_FRACTION_LIMIT:
             raise SchemaError(
@@ -116,49 +160,65 @@ class DocumentReader:
             )
 
 
-def _parse_json_line(line: str, schema: str) -> Document:
+def as_document(doc_id: str, stamp: Stamp, payload: Payload) -> Document:
+    """The Document of one record."""
+    if isinstance(payload, str):
+        return Document(id=doc_id, timestamp=stamp.timestamp, text=payload)
+    names, counts = payload
+    return Document(id=doc_id, timestamp=stamp.timestamp, mentions=tuple(zip(names, counts)))
+
+
+def _file_digest(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _parse_json_line(line: str, schema: str, stamps: _Stamps) -> Record:
     rec = json.loads(line)
     if not isinstance(rec, dict):
         raise ValueError("record is not a JSON object")
     doc_id = rec["id"]
     if not isinstance(doc_id, str) or not doc_id:
         raise ValueError("id must be a non-empty string")
-    ts = parse_timestamp(str(rec["date"]))
+    stamp = stamps[str(rec["date"])]
     if schema == "raw":
         text = rec["text"]
         if not isinstance(text, str):
             raise ValueError("text must be a string")
-        return Document(id=doc_id, timestamp=ts, text=text)
-    mentions = _validate_mentions(rec["mentions"])
-    return Document(id=doc_id, timestamp=ts, mentions=mentions)
+        return doc_id, stamp, text
+    return doc_id, stamp, _validate_mentions(rec["mentions"])
 
 
-def _validate_mentions(raw) -> tuple[tuple[str, int], ...]:
+def _validate_mentions(raw) -> tuple[list[str], list[int]]:
     if not isinstance(raw, (list, tuple)):
         raise ValueError("mentions must be an array")
-    out = []
-    for item in raw:
-        name, count = item
-        if not isinstance(name, str) or not name:
+    names, counts = [], []
+    for name, count in raw:
+        # exact types: JSON gives str, int, bool, float, list, dict or None
+        if type(name) is not str or not name:
             raise ValueError("mention name must be a non-empty string")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        if type(count) is not int or count < 1:
             raise ValueError(f"mention count must be a positive integer, got {count!r}")
-        out.append((name, count))
-    return tuple(out)
+        names.append(name)
+        counts.append(count)
+    return names, counts
 
 
-def _parse_tsv_line(line: str, lineno: int) -> Document:
+def _parse_tsv_line(line: str, doc_id: str, stamps: _Stamps) -> Record:
     parts = line.split("\t")
     if len(parts) != 3:
         raise ValueError(f"expected 3 tab-separated fields, got {len(parts)}")
-    ts = parse_timestamp(parts[0])
+    stamp = stamps[parts[0]]
     name = parts[1].strip()
     if not name:
         raise ValueError("empty name")
     count = int(parts[2])
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return Document(id=f"tsv:{lineno}", timestamp=ts, mentions=((name, count),))
+    return doc_id, stamp, ([name], [count])
 
 
 def read_documents(path: str | Path, schema: str) -> DocumentReader:
@@ -166,12 +226,13 @@ def read_documents(path: str | Path, schema: str) -> DocumentReader:
     return DocumentReader(path, schema)
 
 
-def write_documents(docs: Iterable[Document], path: str | Path) -> int:
-    """Write documents as JSON lines; returns the number written."""
+def write_documents(docs: Iterable[Document | str], path: str | Path) -> int:
+    """Write documents as JSON lines; returns the number written.  A str
+    is a line document_to_json already made."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
-            fh.write(document_to_json(doc))
+            fh.write(doc if isinstance(doc, str) else document_to_json(doc))
             fh.write("\n")
             n += 1
     return n

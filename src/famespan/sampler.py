@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,11 +58,21 @@ def month_volumes(docs: Iterable[Document]) -> list[MonthVolume]:
     return [MonthVolume(*kv) for kv in sorted(Counter(month_of(d.timestamp) for d in docs).items())]
 
 
+def keep_scorer(seed: int) -> Callable[[str], float]:
+    """keep_score with the seed bound; the keyed hash is set up once and
+    copied for each id."""
+    keyed = blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+
+    def score(doc_id: str) -> float:
+        h = keyed.copy()
+        h.update(doc_id.encode("utf-8"))
+        return int.from_bytes(h.digest(), "little") / 2**64
+    return score
+
+
 def keep_score(seed: int, doc_id: str) -> float:
     """Deterministic uniform score in [0, 1) for one (seed, id) pair."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = blake2b(doc_id.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little") / 2**64
+    return keep_scorer(seed)(doc_id)
 
 
 def keep_probabilities(volumes: list[MonthVolume], cfg: SamplerConfig) -> dict[tuple[int, int], float]:
