@@ -34,6 +34,12 @@ from .errors import SchemaError
 
 MALFORMED_FRACTION_LIMIT = 0.10
 
+# A file's date memo starts afresh once it holds this many strings: a file
+# of mostly distinct dates (a sparse century corpus) then keeps about
+# 0.3 MB of them instead of one entry per line, and a date-sorted file
+# still parses each distinct string once.
+_STAMP_MEMO_LIMIT = 1024
+
 SCHEMAS = ("raw", "pretagged")
 
 
@@ -91,14 +97,17 @@ class Stamp(NamedTuple):
 
 
 class _Stamps(dict):
-    """One file's date memo: exact date string -> Stamp.  A string that
-    does not parse raises on every lookup and is never stored."""
+    """One file's date memo: exact date string -> Stamp, at most
+    _STAMP_MEMO_LIMIT of them.  A string that does not parse raises on
+    every lookup and is never stored."""
 
     def __init__(self, window: AnalysisWindow | None):
         super().__init__()
         self.window = window
 
     def __missing__(self, raw: str) -> Stamp:
+        if len(self) >= _STAMP_MEMO_LIMIT:
+            self.clear()
         ts = parse_timestamp(raw)
         inside = self.window is None or self.window.contains(ts)
         stamp = self[raw] = Stamp(ts, epoch_us(ts), month_index(ts.year, ts.month), inside)

@@ -129,6 +129,9 @@ def test_walk_matches_document_reference(files):
             path.write_text("".join(line + "\n" for line in rendered), encoding="utf-8")
             paths.append(path)
         got, expected = _walk(paths), _reference(paths)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_io, "_STAMP_MEMO_LIMIT", 2)  # the memo starts afresh often
+            assert _walk(paths) == expected
     assert got == expected
     # the line kinds alone predict the accounting of every file read; a
     # file whose first non-blank line is not an object is read as TSV
