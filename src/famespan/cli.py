@@ -468,7 +468,8 @@ def _cmd_extract(args) -> int:
             yield Document(id=doc.id, timestamp=doc.timestamp, mentions=mentions)
 
     reader = read_documents(args.input, "raw")
-    n = write_documents(tagged(reader), args.out)
+    with _Outputs() as outputs:
+        n = write_documents(tagged(reader), outputs.track(args.out))
     print(f"extracted mentions for {n} documents to {args.out} "
           f"({reader.stats.malformed} malformed lines skipped)")
     return 0

@@ -42,6 +42,9 @@ _STAMP_MEMO_LIMIT = 1024
 
 SCHEMAS = ("raw", "pretagged")
 
+# Mention counts are held as int64 (timeline.MentionColumns).
+MAX_COUNT = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Document:
@@ -138,7 +141,9 @@ class DocumentReader:
         stats = self.stats
         stamps = _Stamps(window)
         tsv_ids = None  # id prefix of a TSV file, "" for JSON lines
-        with open(self.path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which would otherwise make the
+        # first line malformed and sniff a JSON-lines file as TSV
+        with open(self.path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stats.lines += 1
                 stripped = line.strip()
@@ -211,6 +216,8 @@ def _validate_mentions(raw) -> tuple[list[str], list[int]]:
             raise ValueError("mention name must be a non-empty string")
         if type(count) is not int or count < 1:
             raise ValueError(f"mention count must be a positive integer, got {count!r}")
+        if count > MAX_COUNT:
+            raise ValueError(f"mention count must be below 2**63, got {count}")
         names.append(name)
         counts.append(count)
     return names, counts
@@ -227,6 +234,8 @@ def _parse_tsv_line(line: str, doc_id: str, stamps: _Stamps) -> Record:
     count = int(parts[2])
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > MAX_COUNT:
+        raise ValueError(f"count must be below 2**63, got {count}")
     return doc_id, stamp, ([name], [count])
 
 

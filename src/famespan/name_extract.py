@@ -35,9 +35,12 @@ DEFAULT_STOP_CAPITALIZED = frozenset(
      "Another", "Such", "Both", "Several", "Today", "Yesterday", "Tomorrow"}
 )
 
-# A token is a letter followed by letters, internal apostrophes or hyphens
-# ("O'Neill", "Smith-Jones"), optionally closed by a period ("Mrs.", "F.").
-_TOKEN_RE = re.compile(r"[^\W\d_](?:[^\W\d_]|['’-])*\.?")
+# A token is a letter ([^\W\d_]) followed by letters, internal apostrophes
+# or hyphens ("O'Neill", "Smith-Jones"), optionally closed by a period
+# ("Mrs.", "F.").  A letter after another letter or after a joiner that
+# follows one is inside a token, not the start of one.
+_JOINERS = "'’-"
+_TOKEN_TAIL = rf"(?:[^\W\d_]|[{_JOINERS}])*\.?"
 
 
 class Mention(NamedTuple):
@@ -57,8 +60,9 @@ class RecognizerConfig:
     max_phrase_tokens: int = 4
     min_phrase_tokens: int = 2
     stop_capitalized: frozenset[str] = DEFAULT_STOP_CAPITALIZED
-    # normalized (period-free) honorifics, derived in __post_init__
+    # normalized (period-free) honorifics and the candidate scan, derived in __post_init__
     _honorific_cores: frozenset[str] = field(init=False, repr=False, compare=False, default=frozenset())
+    _candidates: re.Pattern = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.min_phrase_tokens < 2:
@@ -67,9 +71,20 @@ class RecognizerConfig:
             raise ConfigError("max_phrase_tokens must be >= min_phrase_tokens")
         if not self.given_name_gazetteer:
             raise ConfigError("gazetteer must be non-empty for the heuristic recognizer")
-        object.__setattr__(
-            self, "_honorific_cores", frozenset(h.rstrip(".") for h in self.honorifics)
-        )
+        cores = frozenset(h.rstrip(".") for h in self.honorifics)
+        object.__setattr__(self, "_honorific_cores", cores)
+        object.__setattr__(self, "_candidates", re.compile(_candidate_pattern(cores)))
+
+
+def _candidate_pattern(honorific_cores: frozenset[str]) -> str:
+    """Every token that may be capitalized or an honorific: one starting
+    with a letter other than ASCII a-z, or with the ASCII lowercase first
+    letter of an honorific.  Checked after the first letter, the
+    lookbehind rejects a start right after another letter; the caller
+    checks a start right after a joiner, which is rare."""
+    firsts = {h[0] for h in honorific_cores if h}
+    skipped = "".join(c for c in "abcdefghijklmnopqrstuvwxyz" if c not in firsts)
+    return rf"[^{skipped}\W\d_](?<![^\W\d_].){_TOKEN_TAIL}"
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
@@ -94,23 +109,6 @@ def load_recognizer(
     )
 
 
-class _Token(NamedTuple):
-    raw: str
-    start: int
-    end: int
-
-
-def _core(raw: str) -> str:
-    """Token text with a sentence-final period stripped; initials keep theirs."""
-    if raw.endswith(".") and len(raw) > 2:
-        return raw[:-1]
-    return raw
-
-
-def _is_sentence_final(raw: str) -> bool:
-    return raw.endswith(".") and len(raw) > 2
-
-
 def extract_mentions(doc: Document, cfg: RecognizerConfig) -> list[Mention]:
     """Extract accepted capitalized phrases from the document body.
 
@@ -127,38 +125,56 @@ def extract_mentions(doc: Document, cfg: RecognizerConfig) -> list[Mention]:
 
 
 def _accepted_phrases(text: str, cfg: RecognizerConfig):
-    tokens = [_Token(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-    run: list[_Token] = []
+    """The accepted phrases of ``text`` in order, one per occurrence.
+
+    Only candidate tokens (capitalized or honorific) reach this loop; the
+    regex skips the rest.  A token that is neither ends the current run
+    exactly as a non-whitespace gap between two candidates does, so all
+    that matters between candidates is whether the gap is whitespace."""
+    run: list[str] = []  # token cores
     run_honorific = False
-    prev_end = None
-    for tok in tokens:
-        adjacent = prev_end is not None and text[prev_end:tok.start].strip() == ""
-        prev_end = tok.end
-        if tok.raw.rstrip(".") in cfg._honorific_cores:
+    prev_end = 0  # before the first candidate the run is empty, so any value will do
+    for m in cfg._candidates.finditer(text):
+        start = m.start()
+        raw = m.group()
+        if start and text[start - 1] in _JOINERS and _continues_token(text, start - 1):
+            continue  # the tail of a token that began with a letter outside the class
+        if raw.rstrip(".") in cfg._honorific_cores:
             yield from _resolve_run(run, run_honorific, cfg)
             run, run_honorific = [], True
+            prev_end = m.end()
             continue
-        if not tok.raw[0].isupper():
-            yield from _resolve_run(run, run_honorific, cfg)
-            run, run_honorific = [], False
+        if not raw[0].isupper():
             continue
-        if run and not adjacent:
-            yield from _resolve_run(run, run_honorific, cfg)
-            run, run_honorific = [], False
-        if not run and run_honorific and not adjacent:
+        if not (prev_end == start or text[prev_end:start].isspace()):
+            if run:
+                yield from _resolve_run(run, run_honorific, cfg)
+                run = []
             run_honorific = False
-        run.append(tok)
-        if _is_sentence_final(tok.raw):
+        prev_end = m.end()
+        if raw[-1] == "." and len(raw) > 2:  # sentence-final; initials keep their period
+            run.append(raw[:-1])
             yield from _resolve_run(run, run_honorific, cfg)
             run, run_honorific = [], False
+        else:
+            run.append(raw)
     yield from _resolve_run(run, run_honorific, cfg)
 
 
-def _resolve_run(run: list[_Token], honorific_before: bool, cfg: RecognizerConfig):
-    """Greedy longest-match acceptance over one run of capitalized tokens."""
+def _continues_token(text: str, i: int) -> bool:
+    """Whether the apostrophes and hyphens ending at ``text[i]`` follow a
+    letter, so the token that letter is in runs on past them."""
+    while i >= 0 and text[i] in _JOINERS:
+        i -= 1
+    return i >= 0 and text[i].isalnum() and not text[i].isdecimal()  # [^\W\d_]
+
+
+def _resolve_run(run: list[str], honorific_before: bool, cfg: RecognizerConfig):
+    """Greedy longest-match acceptance over one run of capitalized token
+    cores (a sentence-final period stripped, initials keep theirs)."""
     i = 0
     while i <= len(run) - cfg.min_phrase_tokens:
-        first = _core(run[i].raw)
+        first = run[i]
         if first in cfg.stop_capitalized:
             i += 1
             continue
@@ -170,7 +186,7 @@ def _resolve_run(run: list[_Token], honorific_before: bool, cfg: RecognizerConfi
         if accepted is None:
             i += 1
             continue
-        yield " ".join(_core(t.raw) for t in run[i:i + accepted])
+        yield " ".join(run[i:i + accepted])
         i += accepted
 
 

@@ -11,12 +11,14 @@ downstream of text extraction can be verified against known ground truth.
 oracle_spike / oracle_continuity re-derive the fame periods by exhaustive
 scans (interval-membership week counting, enumeration of event ranges)
 so the production detectors can be checked field-for-field against an
-independent search structure.
+independent search structure.  oracle_phrases walks every token of a raw
+text, which the recognizer's candidate scan must match phrase for phrase.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -27,6 +29,7 @@ import numpy as np
 from .corpus_io import AnalysisWindow, Document
 from .dates import US_PER_DAY, from_epoch_us, parse_month, parse_timestamp
 from .errors import ConfigError
+from .name_extract import RecognizerConfig, _resolve_run
 from .peaks import (
     METHOD_CONTINUITY,
     METHOD_SPIKE,
@@ -295,3 +298,42 @@ def oracle_continuity(t) -> FamePeriod:
         peak_date=from_epoch_us(peak_us),
         duration_days=duration_days,
     )
+
+
+def oracle_phrases(text: str, cfg: RecognizerConfig):
+    """Reference recognizer walk: every token of ``text``, in order, through
+    the run state machine; yields the accepted phrases as
+    name_extract._accepted_phrases must."""
+
+    def core(raw: str) -> str:  # a sentence-final period stripped; initials keep theirs
+        return raw[:-1] if raw.endswith(".") and len(raw) > 2 else raw
+
+    def resolve(run, honorific_before):
+        return _resolve_run([core(raw) for raw in run], honorific_before, cfg)
+
+    token_re = r"[^\W\d_](?:[^\W\d_]|['’-])*\.?"
+    tokens = [(m.group(0), m.start(), m.end()) for m in re.finditer(token_re, text)]
+    run: list[str] = []
+    run_honorific = False
+    prev_end = None
+    for raw, start, end in tokens:
+        adjacent = prev_end is not None and text[prev_end:start].strip() == ""
+        prev_end = end
+        if raw.rstrip(".") in cfg._honorific_cores:
+            yield from resolve(run, run_honorific)
+            run, run_honorific = [], True
+            continue
+        if not raw[0].isupper():
+            yield from resolve(run, run_honorific)
+            run, run_honorific = [], False
+            continue
+        if run and not adjacent:
+            yield from resolve(run, run_honorific)
+            run, run_honorific = [], False
+        if not run and run_honorific and not adjacent:
+            run_honorific = False
+        run.append(raw)
+        if core(raw) != raw:
+            yield from resolve(run, run_honorific)
+            run, run_honorific = [], False
+    yield from resolve(run, run_honorific)

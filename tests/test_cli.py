@@ -154,6 +154,19 @@ def test_failed_sample_leaves_no_output(tmp_path, corpus_path):
     assert not report.exists()
 
 
+def test_failed_extract_leaves_no_output(tmp_path):
+    # a third of the lines malformed: SchemaError at the end of the stream,
+    # after the good lines were written
+    good = [json.dumps({"id": f"d{i}", "date": "1950-01-02", "text": "Ada Lovelace spoke."}) for i in range(20)]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("\n".join(good + ["{broken"] * 10) + "\n", encoding="utf-8")
+    gaz = tmp_path / "gaz.txt"
+    gaz.write_text("Ada\n", encoding="utf-8")
+    out = tmp_path / "tagged.jsonl"
+    assert main(["extract", "--input", str(raw), "--gazetteer", str(gaz), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_extract_subcommand(tmp_path):
     raw = tmp_path / "raw.jsonl"
     raw.write_text(

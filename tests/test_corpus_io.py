@@ -1,3 +1,4 @@
+import hashlib
 import json
 from datetime import date, datetime
 
@@ -63,6 +64,57 @@ def test_tsv_pretagged_variant(tmp_path):
     docs = list(read_documents(f, "pretagged"))
     assert [d.mentions for d in docs] == [(("Ada Lovelace", 2),), (("Grace Hopper", 1),)]
     assert docs[0].timestamp == date(2001, 5, 2)
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("schema, record", [
+    ("pretagged", {"date": "2001-05-02", "mentions": [["Ada Lovelace", 2]]}),
+    ("raw", {"date": "2001-05-02", "text": "Mrs. Ada Lovelace spoke."}),
+])
+def test_byte_order_mark_is_not_part_of_the_first_line(tmp_path, schema, record):
+    f = tmp_path / "c.jsonl"
+    lines = [json.dumps({"id": f"d{i}", **record}) for i in range(30)]
+    f.write_text(BOM + "\n".join(lines) + "\n", encoding="utf-8")
+    plain = tmp_path / "plain.jsonl"
+    write_lines(plain, lines)
+    reader = read_documents(f, schema)
+    assert list(reader) == list(read_documents(plain, schema))
+    assert (reader.stats.documents, reader.stats.malformed) == (30, 0)
+
+
+def test_byte_order_mark_before_tsv(tmp_path):
+    f = tmp_path / "c.tsv"
+    lines = ["2001-05-02\tAda Lovelace\t2", "2001-05-03\tGrace Hopper\t1"]
+    f.write_text(BOM + "\n".join(lines) + "\n", encoding="utf-8")
+    reader = read_documents(f, "pretagged")
+    docs = list(reader)
+    assert [d.mentions for d in docs] == [(("Ada Lovelace", 2),), (("Grace Hopper", 1),)]
+    assert reader.stats.malformed == 0
+    # the id digest is of the file's bytes, mark included
+    digest = hashlib.sha256(f.read_bytes()).hexdigest()[:16]
+    assert [d.id for d in docs] == [f"tsv:{digest}:1", f"tsv:{digest}:2"]
+
+
+@pytest.mark.parametrize("count", [2**63, 2**64 + 5, 10**30])
+def test_count_beyond_int64_is_malformed(tmp_path, count):
+    good = [json.dumps({"id": f"g{i}", "date": "2001-05-02", "mentions": [["Ada Lovelace", 2**63 - 1]]})
+            for i in range(20)]
+    big = json.dumps({"id": "big", "date": "2001-05-02", "mentions": [["Ada Lovelace", 1], ["Grace Hopper", count]]})
+    f = tmp_path / "c.jsonl"
+    write_lines(f, [big, *good])
+    reader = read_documents(f, "pretagged")
+    assert [d.id for d in reader] == [f"g{i}" for i in range(20)]
+    assert reader.stats.malformed == 1
+    assert reader.stats.errors == [f"c.jsonl:1: mention count must be below 2**63, got {count}"]
+
+    t = tmp_path / "c.tsv"
+    write_lines(t, [f"2001-05-02\tAda Lovelace\t{count}", *["2001-05-02\tAda Lovelace\t9223372036854775807"] * 20])
+    reader = read_documents(t, "pretagged")
+    assert len(list(reader)) == 20
+    assert reader.stats.malformed == 1
+    assert reader.stats.errors == [f"c.tsv:1: count must be below 2**63, got {count}"]
 
 
 def test_round_trip(tmp_path):
