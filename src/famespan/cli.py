@@ -63,7 +63,6 @@ from .sampler import (
     write_sampling_report,
 )
 from .stats import WIDTH_3_MONTHS, WIDTH_5_YEARS, assign_cohorts, cumulative_curve
-from .synth import generate_corpus, load_synth_spec
 from .timeline import (
     MentionColumns,
     Timeline,
@@ -451,6 +450,9 @@ def _build_run_config(args) -> RunConfig:
 
 
 def _cmd_synth(args) -> int:
+    # imported on use: the generator and the reference oracles serve no other subcommand
+    from .synth import generate_corpus, load_synth_spec
+
     spec = load_synth_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -566,9 +568,10 @@ def _cmd_fixture(args) -> int:
 
 
 FORMATS_EPILOG = """\
-file formats (all UTF-8, LF newlines):
+file formats (all UTF-8, LF newlines; an input may start with a byte-order mark):
   raw corpus        JSONL: {"id": str, "date": ISO-8601, "text": str}
   pretagged corpus  JSONL: {"id": str, "date": ISO-8601, "mentions": [[name, count], ...]}
+                    (1 <= count < 2**63)
                     or TSV: date<TAB>name<TAB>count (one mention per line; the id
                     of line n is tsv:<first 16 hex of the file's sha256>:<n>)
   periods CSV       name,method,start,end,peak_date,duration_days

@@ -88,9 +88,10 @@ def _candidate_pattern(honorific_cores: frozenset[str]) -> str:
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """One entry per line, UTF-8; blank lines ignored."""
+    """One entry per line, UTF-8 (a byte-order mark is dropped); blank
+    lines ignored."""
     entries = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             word = line.strip()
             if word:

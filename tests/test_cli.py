@@ -154,6 +154,19 @@ def test_failed_sample_leaves_no_output(tmp_path, corpus_path):
     assert not report.exists()
 
 
+def test_extract_word_lists_may_start_with_a_byte_order_mark(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({"id": "a", "date": "1950-01-02", "text": "Ada Lovelace met Sir Alan Turing."})
+                   + "\n", encoding="utf-8")
+    gaz, hon = tmp_path / "gaz.txt", tmp_path / "hon.txt"
+    gaz.write_text("\ufeffAda\n", encoding="utf-8")
+    hon.write_text("\ufeffSir\n", encoding="utf-8")
+    out = tmp_path / "tagged.jsonl"
+    assert main(["extract", "--input", str(raw), "--gazetteer", str(gaz), "--honorifics", str(hon),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mentions"] == [["Ada Lovelace", 1], ["Alan Turing", 1]]
+
+
 def test_failed_extract_leaves_no_output(tmp_path):
     # a third of the lines malformed: SchemaError at the end of the stream,
     # after the good lines were written
