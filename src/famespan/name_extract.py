@@ -134,7 +134,7 @@ def _accepted_phrases(text: str, cfg: RecognizerConfig):
     that matters between candidates is whether the gap is whitespace."""
     run: list[str] = []  # token cores
     run_honorific = False
-    prev_end = 0  # before the first candidate the run is empty, so any value will do
+    prev_end = 0  # any value: before the first candidate no run or honorific can be cut
     for m in cfg._candidates.finditer(text):
         start = m.start()
         raw = m.group()
