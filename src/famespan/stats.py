@@ -179,7 +179,8 @@ class QuantileStatistic:
 
     def on_sorted_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         col = _rank(self.q, rows.shape[1]) - 1
-        return rows[:, col], np.ones(rows.shape[0], dtype=bool)
+        # a copy, so the kept column does not pin the batch's sorted rows
+        return rows[:, col].copy(), np.ones(rows.shape[0], dtype=bool)
 
 
 class PowerLawAlphaStatistic:
@@ -218,7 +219,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _S27, _S30, _S31, _S32 = (np.uint64(k) for k in (27, 30, 31, 32))
 # Index elements per resampling batch; bounds the batch's working arrays.
-_BATCH_ELEMENTS = 1_000_000
+# A batch peaks at 32 bytes per element, the four uint64 words of the
+# multiply-shift (hash word, high, low, carry); the gathered float64 rows
+# and the alpha statistic's log and mask need less.  So about 8 MB here.
+_BATCH_ELEMENTS = 1 << 18
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

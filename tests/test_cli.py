@@ -299,6 +299,20 @@ def test_data_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_count_sum_beyond_int64_is_a_data_error(tmp_path, capsys):
+    # each count is valid, but any two of them on one date sum to 2**63
+    corpus = tmp_path / "huge.jsonl"
+    rows = [json.dumps({"id": f"d{i}", "date": "2005-03-01", "mentions": [["Ada Lovelace", 2**62]]})
+            for i in range(40)]
+    corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["periods", "--input", str(corpus), "--out-dir", str(out), "--schema", "pretagged",
+                 "--window", "2005-01", "2005-07", "--n-min", "10", "--seed", "1"])
+    assert code == 3
+    assert "'Ada Lovelace'" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_stats_error_exit_code_and_cleanup(tmp_path):
     # single-day bursts: every continuity duration is 0, nothing survives
     corpus = tmp_path / "tiny.jsonl"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -415,3 +416,26 @@ def test_quantile_interval_ends_match_exact_bootstrap_distribution():
                 p_reach = _binom_sf(reps, cdf(end), rank)  # >= rank draws <= end
                 p_under = 1.0 - _binom_sf(reps, below, rank)  # < rank draws below end
                 assert p_reach > eps and p_under > eps, (trial, q, level, end)
+
+
+def test_quantile_replicates_do_not_pin_the_sorted_rows():
+    rows = np.sort(np.random.default_rng(5).random((40, 30)), axis=1)
+    vals, ok = QuantileStatistic(0.9).on_sorted_rows(rows)
+    assert vals.tolist() == rows[:, 26].tolist() and ok.all()
+    assert not np.shares_memory(vals, rows)
+
+
+def test_bootstrap_cell_memory_is_bounded():
+    # a pretagged_1m-sized cell: every statistic of a table cell at n=2000,
+    # 2000 reps, which at 8 bytes a resample element would be 32 MB
+    values = power_law_samples(-2.5, 7.0, 2000, seed=6)
+    stats = [QuantileStatistic(q) for q in (0.5, 0.9, 0.99)] + [PowerLawAlphaStatistic()]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = bootstrap_many(values, stats, reps=2000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(iv, BootstrapInterval) for iv in out.values())
+    assert peak < 16 * 2**20

@@ -1,11 +1,17 @@
+import tracemalloc
+from collections import Counter
 from datetime import date, datetime
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from famespan.errors import DataError
 from famespan.name_extract import Mention
 from famespan.timeline import (
+    MentionColumns,
     Timeline,
     YearlyCount,
     basic_name_filter,
@@ -145,3 +151,101 @@ def test_tsv_round_trip(tmp_path):
 def test_empty_timeline_rejected():
     with pytest.raises(ValueError):
         Timeline("x", np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
+
+DAY_US = 86_400_000_000
+# 1900-01-01 (before the epoch) and 2005-03-01, in epoch microseconds
+BASES_US = (-2_208_988_800_000_000, 1_109_635_200_000_000)
+
+documents = st.lists(
+    st.tuples(
+        st.sampled_from(BASES_US),
+        st.integers(0, 3),  # day
+        st.sampled_from([0, 1, 3_600_000_000, DAY_US - 1]),  # time of day
+        st.lists(st.tuples(st.sampled_from(["A", "B", "Ada Lovelace", "É"]), st.integers(1, 2**40)),
+                 max_size=4),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, st.data())
+def test_merge_matches_counter_oracle(docs, data):
+    # keep: None (every document), or any mask, all-dropped and all-kept included
+    keep = data.draw(st.none() | st.lists(st.booleans(), min_size=len(docs), max_size=len(docs)))
+    cols = MentionColumns()
+    oracle: Counter = Counter()
+    for i, (base, day, tod, mentions) in enumerate(docs):
+        us = base + day * DAY_US + tod
+        cols.add(us, mentions)  # repeated names in one document stay separate mentions
+        if keep is None or keep[i]:
+            for name, count in mentions:
+                oracle[name, us] += count
+    got = build_timelines(cols, None if keep is None else np.array(keep, dtype=bool))
+    assert set(got) == {name for name, _ in oracle}
+    for name, t in got.items():
+        pairs = sorted((us, c) for (n, us), c in oracle.items() if n == name)
+        assert t.times_us.tolist() == [us for us, _ in pairs]
+        assert t.counts.tolist() == [c for _, c in pairs]
+        assert t.total == sum(c for _, c in pairs)
+
+
+def test_count_sum_reaching_2_63_is_rejected_at_one_time():
+    mentions = [Mention("B", D1, 5), Mention("Ada Lovelace", D1, 2**62), Mention("Ada Lovelace", D1, 2**62)]
+    with pytest.raises(DataError, match="Ada Lovelace"):
+        build_timelines(mentions)
+
+
+def test_count_sum_reaching_2_63_is_rejected_across_times():
+    mentions = [Mention("Ada Lovelace", D1, 2**62), Mention("Ada Lovelace", D2, 2**62), Mention("B", D1, 5)]
+    with pytest.raises(DataError, match="Ada Lovelace"):
+        build_timelines(mentions)
+
+
+def test_count_sums_just_below_2_63_are_exact():
+    # every name below 2**63 though the sum over all names is not
+    tls = build_timelines(
+        [Mention("A", D1, 2**62), Mention("A", D2, 2**62 - 1), Mention("B", D1, 2**62), Mention("B", D1, 2**62 - 1)]
+    )
+    assert tls["A"].counts.tolist() == [2**62, 2**62 - 1]
+    assert tls["A"].total == tls["B"].total == 2**63 - 1
+
+
+def test_yearly_counts_are_exact_integers():
+    # a float64 sum reads both totals as 2**53 and picks Amy
+    tls = build_timelines(
+        [Mention("Bob", date(2001, 1, 5), 2**53), Mention("Bob", date(2001, 9, 1), 1),
+         Mention("Amy", date(2001, 3, 3), 2**53)]
+    )
+    assert sorted(yearly_counts(tls)) == [YearlyCount("Amy", 2001, 2**53), YearlyCount("Bob", 2001, 2**53 + 1)]
+    assert top_k_by_year(yearly_counts(tls), 1) == {"Bob"}
+
+
+def test_merge_holds_at_most_three_words_per_mention():
+    # about 1M mentions shaped like a pre-tagged news corpus: 200,000
+    # documents of 5 mentions over four years, each name active on a
+    # 60-day stretch, and the sampler dropping about 5% of the documents
+    rng = np.random.default_rng(8)
+    n_docs, per_doc, n_names = 200_000, 5, 2_000
+    start = np.sort(rng.integers(0, 1461, n_names))
+    day = start[rng.integers(0, n_names, n_docs)] + rng.integers(0, 60, n_docs)
+    lo, hi = np.searchsorted(start, day - 59), np.searchsorted(start, day, side="right")
+    code = (lo[:, None] + rng.random((n_docs, per_doc)) * (hi - lo)[:, None]).astype(np.int32)
+    cols = MentionColumns()
+    for i in range(n_names):
+        cols.codes[f"n{i}"]
+    cols.name_code.frombytes(code.tobytes())
+    cols.count.frombytes(rng.integers(1, 4, code.size).tobytes())
+    cols.doc_us.frombytes((BASES_US[1] + day * DAY_US).tobytes())
+    cols.doc_size.frombytes(np.full(n_docs, per_doc, dtype=np.int32).tobytes())
+    keep = rng.random(n_docs) < 0.95
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tls = build_timelines(cols, keep)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(t.total for t in tls.values()) == int(np.frombuffer(cols.count, np.int64).reshape(n_docs, per_doc)[keep].sum())
+    assert peak <= 3 * 8 * code.size
