@@ -124,12 +124,12 @@ def build_timelines(
     cols = mentions if isinstance(mentions, MentionColumns) else MentionColumns(mentions)
     size, doc_us = np.frombuffer(cols.doc_size, np.int32), np.frombuffer(cols.doc_us, np.int64)
     code, count = np.frombuffer(cols.name_code, np.int32), np.frombuffer(cols.count, np.int64)
-    n_kept = int(size.sum(dtype=np.int64) if keep is None else size[keep].sum(dtype=np.int64))
+    picked = slice(None) if keep is None else keep
+    n_kept = int(size[picked].sum(dtype=np.int64))
     if not n_kept:
         return {}
     # a dropped document's rank puts its mentions' keys above every kept key
     rank = np.full(len(doc_us), len(cols.codes) * len(doc_us), dtype=np.int64)
-    picked = slice(None) if keep is None else keep
     times, rank[picked] = np.unique(doc_us[picked], return_inverse=True)
     n_times = len(times)
     key = code.astype(np.int64)
