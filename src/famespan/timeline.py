@@ -151,13 +151,10 @@ def build_timelines(
     del first
     code = key // n_times
     cut = _run_starts(code)
-    codes = code[cut].tolist()
-    del code
     times = times[np.remainder(key, n_times, out=key)]
-    del key
     bounds = np.append(cut, len(times)).tolist()
     return {names[c]: Timeline(names[c], times[a:b], count[a:b])
-            for c, a, b in zip(codes, bounds, bounds[1:])}
+            for c, a, b in zip(code[cut].tolist(), bounds, bounds[1:])}
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
