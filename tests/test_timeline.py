@@ -205,9 +205,8 @@ def test_count_sum_reaching_2_63_is_rejected_across_times():
 
 def test_count_sums_just_below_2_63_are_exact():
     # every name below 2**63 though the sum over all names is not
-    tls = build_timelines(
-        [Mention("A", D1, 2**62), Mention("A", D2, 2**62 - 1), Mention("B", D1, 2**62), Mention("B", D1, 2**62 - 1)]
-    )
+    tls = build_timelines([Mention("A", D1, 2**62), Mention("A", D2, 2**62 - 1),
+                           Mention("B", D1, 2**62), Mention("B", D1, 2**62 - 1)])
     assert tls["A"].counts.tolist() == [2**62, 2**62 - 1]
     assert tls["A"].total == tls["B"].total == 2**63 - 1
 
@@ -218,7 +217,8 @@ def test_yearly_counts_are_exact_integers():
         [Mention("Bob", date(2001, 1, 5), 2**53), Mention("Bob", date(2001, 9, 1), 1),
          Mention("Amy", date(2001, 3, 3), 2**53)]
     )
-    assert sorted(yearly_counts(tls)) == [YearlyCount("Amy", 2001, 2**53), YearlyCount("Bob", 2001, 2**53 + 1)]
+    assert sorted(yearly_counts(tls)) == [YearlyCount("Amy", 2001, 2**53),
+                                          YearlyCount("Bob", 2001, 2**53 + 1)]
     assert top_k_by_year(yearly_counts(tls), 1) == {"Bob"}
 
 
@@ -247,5 +247,6 @@ def test_merge_holds_at_most_three_words_per_mention():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert sum(t.total for t in tls.values()) == int(np.frombuffer(cols.count, np.int64).reshape(n_docs, per_doc)[keep].sum())
+    kept_counts = np.frombuffer(cols.count, np.int64).reshape(n_docs, per_doc)[keep]
+    assert sum(t.total for t in tls.values()) == int(kept_counts.sum())
     assert peak <= 3 * 8 * code.size
