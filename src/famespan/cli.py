@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,9 +34,8 @@ import numpy as np
 from . import report as rep
 from .corpus_io import (
     AnalysisWindow,
+    Block,
     Document,
-    Payload,
-    Stamp,
     as_document,
     document_to_json,
     read_documents,
@@ -177,20 +176,19 @@ class _ArtifactDir(_Outputs):
 
 
 def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_cfg: SamplerConfig,
-           collect: Callable[[str, Stamp, Payload], None], report_path: Path | None = None) -> np.ndarray:
-    """The one pass over the inputs: ``collect`` sees the record (id,
-    stamp, payload) of every windowed document in input order, and the
-    returned mask says which of them the keyed sampler keeps; the sampling
-    report is written from it."""
+           collect: Callable[[Block], None], report_path: Path | None = None) -> np.ndarray:
+    """The one pass over the inputs: ``collect`` sees each Block of
+    windowed documents in input order, and the returned mask says which of
+    those documents the keyed sampler keeps; the sampling report is
+    written from it."""
     from array import array  # imported on use, so stats and report load less
     months, scores = array("i"), array("d")
     score = keep_scorer(sampler_cfg.seed)
     for path in inputs:
-        for doc_id, stamp, payload in read_documents(path, schema).records(window):
-            if stamp.inside:
-                months.append(stamp.month)
-                scores.append(score(doc_id))
-                collect(doc_id, stamp, payload)
+        for block in read_documents(path, schema).blocks(window):
+            months.fromlist([stamp.month for stamp in block.stamps])
+            scores.fromlist(list(map(score, block.ids)))
+            collect(block)
     volumes, keep, kept_counts = sample_columns(months, scores, sampler_cfg)
     if report_path is not None:
         write_sampling_report(volumes, kept_counts, report_path)
@@ -208,12 +206,11 @@ def build_pipeline_timelines(
     if cfg.schema == "raw":
         docs: list[Document] = []
         keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg,
-                      lambda *record: docs.append(as_document(*record)), report_path)
+                      lambda block: docs.extend(starmap(as_document, block.records())), report_path)
         timelines = build_timelines(m for d in compress(docs, keep) for m in mentions_of(d, recognizer))
     else:
         cols = MentionColumns()
-        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg,
-                      lambda _id, stamp, mentions: cols.extend(stamp.us, *mentions), report_path)
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, cols.add_block, report_path)
         timelines = build_timelines(cols, keep)
     if not timelines:
         raise DataError("no mentions found inside the analysis window")
@@ -485,7 +482,8 @@ def _cmd_sample(args) -> int:
         report = outputs.track(args.report) if args.report else None
         lines: list[str] = []
         keep = ingest(args.input, args.schema, window, sampler_cfg,
-                      lambda *record: lines.append(document_to_json(as_document(*record))), report)
+                      lambda block: lines.extend(map(document_to_json, starmap(as_document, block.records()))),
+                      report)
         n = write_documents(compress(lines, keep), out)
     print(f"kept {n} documents -> {args.out}")
     return 0

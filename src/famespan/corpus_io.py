@@ -9,10 +9,21 @@ Two line-oriented input schemas are supported, both UTF-8:
   (one mention record per line; the id of line n is
   ``tsv:<first 16 hex digits of the file's sha256>:<n>``).
 
-Each well-formed line becomes a record ``(id, Stamp, payload)``: the
-payload is the text of a raw line, or two parallel lists (names, counts)
-of a pre-tagged one.  A file's date strings are parsed once each; a
-DocumentReader yields its records as Documents.
+A DocumentReader reads a file _BLOCK_LINES lines at a time.  Each
+non-blank JSON line is decoded by one call of the json module's C scanner,
+accepted only when the value spans the whole line, and its id, date and
+payload type are checked; a file's date strings are parsed once each.  The
+mention arrays of a whole pre-tagged block are then checked at once by
+C-level builtins over the flattened pairs; only a block that fails is
+validated again line by line, so each bad line gets the error it gets on
+its own.  Blocks are small because their decoded containers must stay
+below the garbage collector's generation-0 threshold (700): collections
+that walk the held lists of larger blocks cost more than the block-wide
+check saves.  The well-formed lines of a block that fall in the window
+become a Block of columns (ids, Stamps, and the texts or the flat names
+and counts); records() flattens them into ``(id, Stamp, payload)``
+records, where the payload is a raw line's text or the (names, counts)
+lists of a pre-tagged one, and iteration yields Documents.
 
 Malformed lines are counted and skipped; if more than 10% of non-blank
 lines are malformed the reader raises SchemaError at end of stream,
@@ -26,8 +37,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from itertools import accumulate, chain, islice, starmap
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .dates import Timestamp, epoch_us, iso, month_index, parse_timestamp
 from .errors import SchemaError
@@ -39,6 +52,12 @@ MALFORMED_FRACTION_LIMIT = 0.10
 # 0.3 MB of them instead of one entry per line, and a date-sorted file
 # still parses each distinct string once.
 _STAMP_MEMO_LIMIT = 1024
+
+# Input lines per block: about 7 decoded containers per line keep a block
+# below the garbage collector's generation-0 threshold of 700.
+_BLOCK_LINES = 32
+
+_scan_json = json.JSONDecoder().scan_once
 
 SCHEMAS = ("raw", "pretagged")
 
@@ -121,6 +140,27 @@ Payload = Union[str, tuple[list[str], list[int]]]
 Record = tuple[str, Stamp, Payload]
 
 
+class Block(NamedTuple):
+    """The well-formed lines of a run of input lines that fall in the
+    window, as columns: ids and Stamps, then the texts of raw lines or the
+    names and counts of every pre-tagged mention with each line's number
+    of mentions."""
+
+    ids: Sequence[str]
+    stamps: Sequence[Stamp]
+    texts: Sequence[str] | None = None
+    names: list[str] | None = None
+    counts: list[int] | None = None
+    sizes: list[int] | None = None
+
+    def records(self) -> Iterator[Record]:
+        """Each line's (id, Stamp, payload)."""
+        if self.texts is not None:
+            return zip(self.ids, self.stamps, self.texts)
+        return ((doc_id, stamp, (self.names[end - n:end], self.counts[end - n:end]))
+                for doc_id, stamp, n, end in zip(self.ids, self.stamps, self.sizes, accumulate(self.sizes)))
+
+
 class DocumentReader:
     """Iterable over one input file; exposes .stats once exhausted."""
 
@@ -132,39 +172,56 @@ class DocumentReader:
         self.stats = ReadStats()
 
     def __iter__(self) -> Iterator[Document]:
-        for record in self.records():
-            yield as_document(*record)
+        return starmap(as_document, self.records())
 
     def records(self, window: AnalysisWindow | None = None) -> Iterator[Record]:
-        """The validated fields of each well-formed line, in file order;
-        ``Stamp.inside`` tells whether the line's date is in ``window``."""
+        """The (id, Stamp, payload) of each well-formed line in ``window``,
+        in file order."""
+        return chain.from_iterable(map(Block.records, self.blocks(window)))
+
+    def blocks(self, window: AnalysisWindow | None = None) -> Iterator[Block]:
+        """The well-formed lines in ``window``, in file order, one Block per
+        _BLOCK_LINES input lines that has any.  Lines outside the window are
+        validated and counted all the same."""
         stats = self.stats
         stamps = _Stamps(window)
         tsv_ids = None  # id prefix of a TSV file, "" for JSON lines
         # utf-8-sig drops a byte-order mark, which would otherwise make the
         # first line malformed and sniff a JSON-lines file as TSV
         with open(self.path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stats.lines += 1
-                stripped = line.strip()
-                if not stripped:
-                    stats.blank += 1
-                    continue
-                if tsv_ids is None:
-                    tsv = self.schema == "pretagged" and not stripped.startswith("{")
-                    tsv_ids = f"tsv:{_file_digest(self.path)[:16]}:" if tsv else ""
-                try:
-                    if tsv_ids:
-                        record = _parse_tsv_line(stripped, f"{tsv_ids}{lineno}", stamps)
+            numbered = enumerate(fh, start=1)
+            while chunk := list(islice(numbered, _BLOCK_LINES)):
+                stats.lines += len(chunk)
+                records, linenos, failed = [], [], []
+                for lineno, line in chunk:
+                    stripped = line.strip()
+                    if not stripped:
+                        stats.blank += 1
+                        continue
+                    if tsv_ids is None:
+                        tsv = self.schema == "pretagged" and not stripped.startswith("{")
+                        tsv_ids = f"tsv:{_file_digest(self.path)[:16]}:" if tsv else ""
+                    try:
+                        if tsv_ids:
+                            records.append(_parse_tsv_line(stripped, f"{tsv_ids}{lineno}", stamps))
+                        else:
+                            records.append(_parse_json_line(stripped, self.schema, stamps))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        failed.append((lineno, exc))
                     else:
-                        record = _parse_json_line(stripped, self.schema, stamps)
-                except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-                    stats.malformed += 1
-                    if len(stats.errors) < 10:
-                        stats.errors.append(f"{self.path.name}:{lineno}: {exc}")
-                    continue
-                stats.documents += 1
-                yield record
+                        linenos.append(lineno)
+                mentions = None
+                if self.schema == "pretagged":
+                    mentions = _flat_mentions([payload for _, _, payload in records])
+                    if mentions is None:
+                        records = _checked_lines(records, linenos, failed)
+                stats.documents += len(records)
+                stats.malformed += len(failed)
+                stats.errors += [f"{self.path.name}:{lineno}: {exc}"
+                                 for lineno, exc in failed[:10 - len(stats.errors)]]
+                inside = [record for record in records if record[1].inside]
+                if inside:
+                    yield _block(inside, self.schema, mentions if len(inside) == len(records) else None)
         processed = stats.documents + stats.malformed
         if processed and stats.malformed / processed > MALFORMED_FRACTION_LIMIT:
             raise SchemaError(
@@ -190,8 +247,15 @@ def _file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _parse_json_line(line: str, schema: str, stamps: _Stamps) -> Record:
-    rec = json.loads(line)
+def _parse_json_line(line: str, schema: str, stamps: _Stamps) -> tuple[str, Stamp, str | list]:
+    """The id, Stamp and payload of a stripped line: a raw line's text, a
+    pre-tagged line's mention array with its items unchecked."""
+    try:
+        rec, end = _scan_json(line, 0)
+    except StopIteration:
+        rec, end = None, 0
+    if end < len(line):
+        json.loads(line)  # raises the decoder's error: no value, extra data, a byte-order mark
     if not isinstance(rec, dict):
         raise ValueError("record is not a JSON object")
     doc_id = rec["id"]
@@ -203,13 +267,44 @@ def _parse_json_line(line: str, schema: str, stamps: _Stamps) -> Record:
         if not isinstance(text, str):
             raise ValueError("text must be a string")
         return doc_id, stamp, text
-    return doc_id, stamp, _validate_mentions(rec["mentions"])
-
-
-def _validate_mentions(raw) -> tuple[list[str], list[int]]:
-    if not isinstance(raw, (list, tuple)):
+    mentions = rec["mentions"]
+    if not isinstance(mentions, list):
         raise ValueError("mentions must be an array")
-    names, counts = [], []
+    return doc_id, stamp, mentions
+
+
+def _flat_mentions(arrays: list[list]) -> tuple[list[str], list[int]] | None:
+    """The names and counts of every mention of ``arrays``, or None unless
+    each array passes _validate_mentions: every item a list of two, a
+    non-empty str name and an int count in [1, MAX_COUNT].  Only C-level
+    builtins run per mention."""
+    items = list(chain.from_iterable(arrays))
+    if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}):
+        return None
+    flat = list(chain.from_iterable(items))
+    names, counts = flat[0::2], flat[1::2]
+    if (set(map(type, names)) <= {str} and all(names) and set(map(type, counts)) <= {int}
+            and 1 <= min(counts, default=1) and max(counts, default=1) <= MAX_COUNT):
+        return names, counts
+    return None
+
+
+def _checked_lines(records: list[tuple], linenos: list[int], failed: list) -> list[tuple]:
+    """The records whose mention arrays pass _validate_mentions; each other
+    line joins ``failed`` with its error, which stays in line order."""
+    checked = []
+    for lineno, record in zip(linenos, records):
+        try:
+            _validate_mentions(record[2])
+        except (ValueError, KeyError, TypeError) as exc:
+            failed.append((lineno, exc))
+        else:
+            checked.append(record)
+    failed.sort(key=itemgetter(0))
+    return checked
+
+
+def _validate_mentions(raw: list) -> None:
     for name, count in raw:
         # exact types: JSON gives str, int, bool, float, list, dict or None
         if type(name) is not str or not name:
@@ -218,9 +313,16 @@ def _validate_mentions(raw) -> tuple[list[str], list[int]]:
             raise ValueError(f"mention count must be a positive integer, got {count!r}")
         if count > MAX_COUNT:
             raise ValueError(f"mention count must be below 2**63, got {count}")
-        names.append(name)
-        counts.append(count)
-    return names, counts
+
+
+def _block(records: list[tuple], schema: str, mentions: tuple[list[str], list[int]] | None) -> Block:
+    """The Block of checked records; ``mentions`` are their flat names and
+    counts when already at hand."""
+    ids, stamps, payloads = zip(*records)
+    if schema == "raw":
+        return Block(ids, stamps, payloads)
+    names, counts = mentions or _flat_mentions(payloads)
+    return Block(ids, stamps, None, names, counts, list(map(len, payloads)))
 
 
 def _parse_tsv_line(line: str, doc_id: str, stamps: _Stamps) -> Record:
@@ -236,7 +338,7 @@ def _parse_tsv_line(line: str, doc_id: str, stamps: _Stamps) -> Record:
         raise ValueError(f"count must be >= 1, got {count}")
     if count > MAX_COUNT:
         raise ValueError(f"count must be below 2**63, got {count}")
-    return doc_id, stamp, ([name], [count])
+    return doc_id, stamp, [[name, count]]
 
 
 def read_documents(path: str | Path, schema: str) -> DocumentReader:

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus_io import MAX_COUNT, Block
 from .dates import Timestamp, epoch_us, from_epoch_us, iso, parse_timestamp
 from .errors import DataError
 from .name_extract import Mention
@@ -35,8 +36,9 @@ class Timeline:
 
     @classmethod
     def from_pairs(cls, name: str, pairs: Iterable[tuple[Timestamp | int, int]]) -> "Timeline":
-        """Build from (timestamp, count) pairs; duplicates merge additively."""
-        timelines = build_timelines((name, ts, count) for ts, count in pairs)
+        """Build from (timestamp, count) pairs; duplicates merge additively.
+        A count outside [1, 2**63 - 1] raises ValueError."""
+        timelines = build_timelines((name, ts, _checked_count(name, count)) for ts, count in pairs)
         if not timelines:
             raise ValueError(f"timeline {name!r} is empty")
         return timelines[name]
@@ -75,8 +77,9 @@ class _Codes(dict):
 
 
 class MentionColumns:
-    """Mentions in flat columns, added a document at a time: an interned
-    name code and a count per mention, an epoch-µs time per document."""
+    """Mentions in flat columns, added a document or a block at a time: an
+    interned name code and a count per mention, an epoch-µs time per
+    document."""
 
     def __init__(self, mentions: Iterable[Mention] = ()):
         from array import array  # imported on use, so stats and report load less
@@ -98,13 +101,13 @@ class MentionColumns:
         self.doc_us.append(ts if isinstance(ts, int) else epoch_us(ts))
         self.doc_size.append(len(mentions))
 
-    def extend(self, us: int, names: list[str], counts: list[int]) -> None:
-        """One document's parallel name and count lists at epoch-µs ``us``;
-        the same columns as ``add``, with no Python loop per mention."""
-        self.name_code.fromlist(list(map(self.codes.__getitem__, names)))
-        self.count.fromlist(counts)
-        self.doc_us.append(us)
-        self.doc_size.append(len(names))
+    def add_block(self, block: Block) -> None:
+        """A block of pre-tagged documents: its names interned with one
+        map, every column appended from a list."""
+        self.name_code.fromlist(list(map(self.codes.__getitem__, block.names)))
+        self.count.fromlist(block.counts)
+        self.doc_us.fromlist([stamp.us for stamp in block.stamps])
+        self.doc_size.fromlist(block.sizes)
 
 
 def build_timelines(
@@ -240,6 +243,17 @@ def write_timelines_tsv(timelines: dict[str, Timeline], path: str | Path) -> Non
 
 
 def read_timelines_tsv(path: str | Path) -> dict[str, Timeline]:
+    """The timelines of a write_timelines_tsv file; a count outside
+    [1, 2**63 - 1] raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.rstrip("\n").split("\t") for line in fh if line.rstrip("\n")]
-    return build_timelines((name, parse_timestamp(ts), int(count)) for name, ts, count in rows)
+    return build_timelines((name, parse_timestamp(ts), _checked_count(name, int(count)))
+                           for name, ts, count in rows)
+
+
+def _checked_count(name: str, count: int) -> int:
+    """``count`` when it is a mention count the int64 columns hold, as the
+    corpus readers require; ValueError otherwise."""
+    if not 1 <= count <= MAX_COUNT:
+        raise ValueError(f"timeline {name!r}: count must be in [1, 2**63 - 1], got {count}")
+    return count

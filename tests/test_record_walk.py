@@ -88,9 +88,9 @@ def _walk(paths):
         readers.append(read_documents(path, schema))
         return readers[-1]
 
-    def collect(doc_id, stamp, mentions):
-        seen.append((doc_id, stamp.month))
-        cols.extend(stamp.us, *mentions)
+    def collect(block):
+        seen.extend((doc_id, stamp.month) for doc_id, stamp in zip(block.ids, block.stamps))
+        cols.add_block(block)
 
     keep_all = SamplerConfig(10**9, 1, "keep-all")
     with pytest.MonkeyPatch.context() as mp:
@@ -132,6 +132,9 @@ def test_walk_matches_document_reference(files):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus_io, "_STAMP_MEMO_LIMIT", 2)  # the memo starts afresh often
             assert _walk(paths) == expected
+            for block_lines in (1, 3):  # blocks end inside every file
+                mp.setattr(corpus_io, "_BLOCK_LINES", block_lines)
+                assert _walk(paths) == expected
     assert got == expected
     # the line kinds alone predict the accounting of every file read; a
     # file whose first non-blank line is not an object is read as TSV

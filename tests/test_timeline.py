@@ -148,6 +148,25 @@ def test_tsv_round_trip(tmp_path):
     assert read_timelines_tsv(path) == tls
 
 
+# the corpus readers reject the same counts as malformed lines
+BAD_COUNTS = (-4, 0, 2**63)
+BAD_COUNT_ERROR = r"^timeline 'Ada': count must be in \[1, 2\*\*63 - 1\], got {}$"
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS)
+def test_tsv_count_outside_int64_mention_range_rejected(tmp_path, count):
+    path = tmp_path / "timelines.tsv"
+    path.write_text(f"Grace\t2005-03-01\t1\nAda\t2005-03-01\t{count}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=BAD_COUNT_ERROR.format(count)):
+        read_timelines_tsv(path)
+
+
+@pytest.mark.parametrize("count", (-3, *BAD_COUNTS))
+def test_from_pairs_count_outside_int64_mention_range_rejected(count):
+    with pytest.raises(ValueError, match=BAD_COUNT_ERROR.format(count)):
+        Timeline.from_pairs("Ada", [(date(2005, 3, 2), 1), (date(2005, 3, 1), count)])
+
+
 def test_empty_timeline_rejected():
     with pytest.raises(ValueError):
         Timeline("x", np.array([], dtype=np.int64), np.array([], dtype=np.int64))
