@@ -9,21 +9,18 @@ Two line-oriented input schemas are supported, both UTF-8:
   (one mention record per line; the id of line n is
   ``tsv:<first 16 hex digits of the file's sha256>:<n>``).
 
-A DocumentReader reads a file _BLOCK_LINES lines at a time.  Each
-non-blank JSON line is decoded by one call of the json module's C scanner,
-accepted only when the value spans the whole line, and its id, date and
-payload type are checked; a file's date strings are parsed once each.  The
-mention arrays of a whole pre-tagged block are then checked at once by
-C-level builtins over the flattened pairs; only a block that fails is
-validated again line by line, so each bad line gets the error it gets on
-its own.  Blocks are small because their decoded containers must stay
-below the garbage collector's generation-0 threshold (700): collections
-that walk the held lists of larger blocks cost more than the block-wide
-check saves.  The well-formed lines of a block that fall in the window
-become a Block of columns (ids, Stamps, and the texts or the flat names
-and counts); records() flattens them into ``(id, Stamp, payload)``
-records, where the payload is a raw line's text or the (names, counts)
-lists of a pre-tagged one, and iteration yields Documents.
+A DocumentReader reads _BLOCK_LINES lines at a time.  The json module's C
+scanner decodes each line once, accepted only when the value spans the
+line; id, date and payload type are checked per line, and a file's date
+strings are parsed once each.  One test of C-level builtins over a
+block's flattened mention pairs checks every pre-tagged line of it; a
+block that fails is validated again line by line, so each bad line gets
+its own error.  Blocks stay small so that their decoded containers stay
+under the garbage collector's generation-0 threshold (700), whose
+collections would otherwise walk them again and again.  The well-formed
+lines in the window become a Block of columns; records() flattens blocks
+into ``(id, Stamp, payload)``, the payload being a raw line's text or the
+(names, counts) lists of a pre-tagged one, and iteration gives Documents.
 
 Malformed lines are counted and skipped; if more than 10% of non-blank
 lines are malformed the reader raises SchemaError at end of stream,
@@ -191,7 +188,6 @@ class DocumentReader:
         with open(self.path, "r", encoding="utf-8-sig") as fh:
             numbered = enumerate(fh, start=1)
             while chunk := list(islice(numbered, _BLOCK_LINES)):
-                stats.lines += len(chunk)
                 records, linenos, failed = [], [], []
                 for lineno, line in chunk:
                     stripped = line.strip()
@@ -206,22 +202,17 @@ class DocumentReader:
                             records.append(_parse_tsv_line(stripped, f"{tsv_ids}{lineno}", stamps))
                         else:
                             records.append(_parse_json_line(stripped, self.schema, stamps))
+                        linenos.append(lineno)
                     except (ValueError, KeyError, TypeError) as exc:
                         failed.append((lineno, exc))
-                    else:
-                        linenos.append(lineno)
-                mentions = None
-                if self.schema == "pretagged":
-                    mentions = _flat_mentions([payload for _, _, payload in records])
-                    if mentions is None:
-                        records = _checked_lines(records, linenos, failed)
-                stats.documents += len(records)
+                block = _block(records, linenos, failed, self.schema)
+                stats.lines += len(chunk)
                 stats.malformed += len(failed)
+                stats.documents = stats.lines - stats.blank - stats.malformed
                 stats.errors += [f"{self.path.name}:{lineno}: {exc}"
                                  for lineno, exc in failed[:10 - len(stats.errors)]]
-                inside = [record for record in records if record[1].inside]
-                if inside:
-                    yield _block(inside, self.schema, mentions if len(inside) == len(records) else None)
+                if block:
+                    yield block
         processed = stats.documents + stats.malformed
         if processed and stats.malformed / processed > MALFORMED_FRACTION_LIMIT:
             raise SchemaError(
@@ -289,21 +280,6 @@ def _flat_mentions(arrays: list[list]) -> tuple[list[str], list[int]] | None:
     return None
 
 
-def _checked_lines(records: list[tuple], linenos: list[int], failed: list) -> list[tuple]:
-    """The records whose mention arrays pass _validate_mentions; each other
-    line joins ``failed`` with its error, which stays in line order."""
-    checked = []
-    for lineno, record in zip(linenos, records):
-        try:
-            _validate_mentions(record[2])
-        except (ValueError, KeyError, TypeError) as exc:
-            failed.append((lineno, exc))
-        else:
-            checked.append(record)
-    failed.sort(key=itemgetter(0))
-    return checked
-
-
 def _validate_mentions(raw: list) -> None:
     for name, count in raw:
         # exact types: JSON gives str, int, bool, float, list, dict or None
@@ -315,13 +291,28 @@ def _validate_mentions(raw: list) -> None:
             raise ValueError(f"mention count must be below 2**63, got {count}")
 
 
-def _block(records: list[tuple], schema: str, mentions: tuple[list[str], list[int]] | None) -> Block:
-    """The Block of checked records; ``mentions`` are their flat names and
-    counts when already at hand."""
-    ids, stamps, payloads = zip(*records)
+def _block(records: list[tuple], linenos: list[int], failed: list, schema: str) -> Block | None:
+    """The Block of the well-formed records dated in the window, if any.  A
+    pre-tagged record whose mentions fail _validate_mentions joins
+    ``failed``, which stays in line order."""
+    mentions = None
+    if schema == "pretagged" and (mentions := _flat_mentions([r[2] for r in records])) is None:
+        checked = []
+        for lineno, record in zip(linenos, records):
+            try:
+                _validate_mentions(record[2])
+                checked.append(record)
+            except (ValueError, KeyError, TypeError) as exc:
+                failed.append((lineno, exc))
+        failed.sort(key=itemgetter(0))
+        records = checked
+    inside = [record for record in records if record[1].inside]
+    if not inside:
+        return None
+    ids, stamps, payloads = zip(*inside)
     if schema == "raw":
         return Block(ids, stamps, payloads)
-    names, counts = mentions or _flat_mentions(payloads)
+    names, counts = mentions if mentions and len(inside) == len(records) else _flat_mentions(payloads)
     return Block(ids, stamps, None, names, counts, list(map(len, payloads)))
 
 
