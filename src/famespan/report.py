@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dates import US_PER_DAY, epoch_us, iso, parse_timestamp
-from .errors import StatsError
+from .errors import DataError, StatsError
 from .peaks import FamePeriod
 from .stats import (
     BootstrapInterval,
@@ -62,21 +62,27 @@ def write_periods_csv(periods: Sequence[FamePeriod], path: str | Path) -> None:
 
 def read_periods_csv(path: str | Path) -> list[FamePeriod]:
     """Re-read persisted periods; durations are recomputed from the full-
-    precision start/end timestamps so rounding in the CSV cannot drift."""
+    precision start/end timestamps so rounding in the CSV cannot drift.
+    A bad header or row raises DataError naming the file and line."""
     out: list[FamePeriod] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["name", "method"]:
-            raise ValueError(f"{path}: not a periods CSV")
+        if next(reader, [])[:2] != ["name", "method"]:
+            raise DataError(f"{path}:1: not a periods CSV (expected a name,method,... header)")
         for row in reader:
-            name, method, start_raw, end_raw, peak_raw, _dur = row
-            start = parse_timestamp(start_raw)
-            end = parse_timestamp(end_raw)
-            duration = (epoch_us(end) - epoch_us(start)) / US_PER_DAY
-            out.append(
-                FamePeriod(name, method, start, end, parse_timestamp(peak_raw), duration)
-            )
+            try:
+                if len(row) != 6:
+                    raise ValueError(f"expected 6 fields, got {len(row)}")
+                name, method, start_raw, end_raw, peak_raw, _dur = row
+                start, end = parse_timestamp(start_raw), parse_timestamp(end_raw)
+                duration = (epoch_us(end) - epoch_us(start)) / US_PER_DAY
+                if duration < 0:
+                    raise ValueError(f"end {end_raw} is before start {start_raw}")
+                out.append(
+                    FamePeriod(name, method, start, end, parse_timestamp(peak_raw), duration)
+                )
+            except ValueError as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 

@@ -134,7 +134,7 @@ def fit_power_law(
     if arr.size == 0:
         raise EmptyCohort("power-law fit of an empty cohort")
     if np.any(arr <= 0):
-        raise ValueError("durations must be positive")
+        raise DegenerateTail("a power-law fit needs every duration positive")
     d_min = quantile(arr, tail_quantile)
     tail = arr[arr > d_min]
     if tail.size < min_tail:
@@ -218,51 +218,59 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _S27, _S30, _S31, _S32 = (np.uint64(k) for k in (27, 30, 31, 32))
-# Index elements per resampling batch; bounds the batch's working arrays.
-# A batch peaks at 32 bytes per element, the four uint64 words of the
-# multiply-shift (hash word, high, low, carry); the gathered float64 rows
-# and the alpha statistic's log and mask need less.  So about 8 MB here.
-_BATCH_ELEMENTS = 1 << 18
+# Index elements per resampling batch.  A cell allocates its batch working
+# set once, three uint64 words per element (hash word, temporary, high
+# word), and hashes every batch into it; with the gathered float64 rows that
+# is 32 bytes per element, 2 MiB here, so a batch fits a 2 MiB per-core L2
+# cache and a fresh process does not fault a new array in for every pass.
+_BATCH_ELEMENTS = 1 << 16
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser, in place on a uint64 array."""
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finaliser, in place on a uint64 array; tmp, if given,
+    holds the shifted words."""
     with np.errstate(over="ignore"):
-        z ^= z >> _S30
+        z ^= np.right_shift(z, _S30, out=tmp)
         z *= _MIX1
-        z ^= z >> _S27
+        z ^= np.right_shift(z, _S27, out=tmp)
         z *= _MIX2
-        z ^= z >> _S31
+        z ^= np.right_shift(z, _S31, out=tmp)
     return z
 
 
-def _multiply_shift(words: np.ndarray, n: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of words * n, for n < 2**32."""
+def _multiply_shift(
+    words: np.ndarray, n: np.uint64, high: np.ndarray | None = None, low: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of words * n, for n < 2**32, written into
+    high and low when they are given."""
     with np.errstate(over="ignore"):
-        low = words * n
-        high = words >> _S32
+        high = np.right_shift(words, _S32, out=high)
         high *= n
-        carry = words & _LOW32
+        carry = np.bitwise_and(words, _LOW32, out=low)
         carry *= n
         carry >>= _S32
         high += carry
         high >>= _S32
+        low = np.multiply(words, n, out=carry)
     return high, low
 
 
-def _bounded(words: np.ndarray, n: int) -> np.ndarray:
+def _bounded(
+    words: np.ndarray, n: int, high: np.ndarray | None = None, low: np.ndarray | None = None
+) -> np.ndarray:
     """Map uint64 words to exactly uniform int64 indices in [0, n).
 
     Lemire's multiply-shift: the index is the high word of words * n.  A
     low word below 2**64 mod n (a share below n / 2**64 of inputs) would
     bias the result, so that word is re-hashed and drawn again; the index
-    stays a pure function of the input word.
+    stays a pure function of the input word.  high and low, if given, are
+    the buffers of the product's words; the indices are a view of high.
     """
     if not 0 < n < 2**32:
         raise ValueError(f"resample size must be in [1, 2**32), got {n}")
     n64 = np.uint64(n)
     threshold = np.uint64((2**64 - n) % n)
-    high, low = _multiply_shift(words, n64)
+    high, low = _multiply_shift(words, n64, high, low)
     flat = high.reshape(-1)
     redo = np.flatnonzero(low < threshold)
     redrawn = words.reshape(-1)[redo]
@@ -276,19 +284,26 @@ def _bounded(words: np.ndarray, n: int) -> np.ndarray:
     return high.view(np.int64)
 
 
-def _resample_rows(seed: int, first: int, count: int, n: int) -> np.ndarray:
+def _resample_rows(
+    seed: int, first: int, count: int, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Index rows of resamples first .. first+count-1, shape (count, n).
 
     Row r hashes seed -> key, (key, r) -> row key and (row key, i) -> word,
     each step a SplitMix64 counter: mix(key + (counter + 1) * golden).
+    out, if given, is a uint64 working set of shape (3, >= count * n) that
+    the rows are hashed into; the returned rows are then a view of it.
     """
+    if out is None:
+        out = np.empty((3, count * n), dtype=np.uint64)
+    words, tmp, high = (buf[: count * n].reshape(count, n) for buf in out)
     key = _mix64(np.array([seed & _MASK64], dtype=np.uint64))
     reps = np.arange(first + 1, first + count + 1, dtype=np.uint64)
     cols = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         row_keys = _mix64(key + reps * _GOLDEN)
-        words = _mix64(row_keys[:, None] + cols * _GOLDEN)
-    return _bounded(words, n)
+        np.add(row_keys[:, None], cols * _GOLDEN, out=words)
+    return _bounded(_mix64(words, tmp), n, high, tmp)
 
 
 def _resample_indices(seed: int, rep: int, n: int) -> np.ndarray:
@@ -300,12 +315,13 @@ def _bootstrap_replicates(
     arr: np.ndarray, statistics: Sequence[Statistic], reps: int, seed: int
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Evaluate each statistic on every resample, in batches of at most
-    _BATCH_ELEMENTS indices."""
+    _BATCH_ELEMENTS indices hashed into one working set per cell."""
     n = arr.size
     batch = max(1, min(reps, _BATCH_ELEMENTS // n))
+    work = np.empty((3, batch * n), dtype=np.uint64)
     pieces: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {s.name: [] for s in statistics}
     for first in range(0, reps, batch):
-        rows = arr[_resample_rows(seed, first, min(batch, reps - first), n)]
+        rows = arr[_resample_rows(seed, first, min(batch, reps - first), n, work)]
         rows.sort(axis=1)
         for stat in statistics:
             pieces[stat.name].append(stat.on_sorted_rows(rows))

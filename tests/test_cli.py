@@ -331,6 +331,44 @@ def test_stats_error_exit_code_and_cleanup(tmp_path):
     assert list(out.iterdir()) == []  # partial artifacts removed
 
 
+def test_zero_length_period_has_no_tail_fit(tmp_path):
+    # twelve mentions on one day make a continuity period of length 0; its
+    # cell keeps the quantile intervals and reports why alpha is n/a, in
+    # run and in stats on the written periods CSV
+    corpus = tmp_path / "day.jsonl"
+    rows = [json.dumps({"id": f"d{i}", "date": "2005-02-03", "mentions": [["Solo Name", 1]]})
+            for i in range(12)]
+    corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out, stats_out = tmp_path / "out", tmp_path / "stats"
+    assert main(["run", "--input", str(corpus), "--out-dir", str(out), "--schema", "pretagged",
+                 "--window", "2005-01", "2005-07", "--n-min", "10", "--seed", "1",
+                 "--reps", "50", "--methods", "continuity", "--min-duration", "0",
+                 "--underfull-policy", "keep-all"]) == 0
+    periods = out / "periods_continuity_all.csv"
+    assert periods.read_text().splitlines()[1] == (
+        "Solo Name,continuity,2005-02-03,2005-02-03,2005-02-03,0")
+    assert main(["stats", "--periods", str(periods), "--seed", "1", "--reps", "50",
+                 "--out-dir", str(stats_out)]) == 0
+    reason = "DegenerateTail: a power-law fit needs every duration positive"
+    for d in (out, stats_out):
+        fits = json.loads((d / "fits_continuity_all.json").read_text())
+        assert fits == {"2005-9": {"error": reason}}
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1] == "continuity,all,2005-9,0 (0 .. 0),0 (0 .. 0),0 (0 .. 0),n/a"
+
+
+def test_malformed_periods_csv_exit_code(tmp_path, capsys):
+    periods = tmp_path / "periods_spike_all.csv"
+    periods.write_text("name,method,start,end,peak_date,duration_days\n"
+                       "A,spike,2005-01-03,notadate,2005-01-03,7\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["report", "--periods", str(periods), "--seed", "1", "--reps", "50",
+                 "--out-dir", str(out)])
+    assert code == 3
+    assert f"{periods}:2: " in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_periods_subcommand_matches_run_artifacts(tmp_path, corpus_path, capsys):
     out = tmp_path / "out"
     assert run_to(corpus_path, out) == 0

@@ -201,11 +201,12 @@ def test_pretagged_run_builds_no_document_and_parses_each_date_once(tmp_path, mo
     assert main(["run", *common, "--min-mentions", "5", "--reps", "20",
                  "--out-dir", str(tmp_path / "out")]) == 0
     assert not built
-    per_file = Counter(d for p in inputs for d in {json.loads(line)["date"] for line in p.open()})
+    lines = {p: p.read_text(encoding="utf-8").splitlines() for p in inputs}
+    per_file = Counter(d for p in inputs for d in {json.loads(line)["date"] for line in lines[p]})
     assert parsed == per_file
     # the counters do see the Document path
     assert main(["sample", *common, "--out", str(tmp_path / "sampled.jsonl")]) == 0
-    assert sum(built.values()) == sum(1 for p in inputs for line in p.open()
+    assert sum(built.values()) == sum(1 for p in inputs for line in lines[p]
                                       if WINDOW.contains(original_parse(json.loads(line)["date"])))
 
 

@@ -3,11 +3,13 @@ from datetime import date, datetime, timedelta
 import numpy as np
 import pytest
 
+from famespan.errors import DataError
 from famespan.peaks import METHOD_CONTINUITY, METHOD_SPIKE, FamePeriod
 from famespan.report import (
     NA,
     SUMMARY_COLUMNS,
     compute_cohort_stats,
+    fit_record,
     format_alpha,
     format_duration,
     format_interval,
@@ -22,7 +24,13 @@ from famespan.report import (
     write_summary_csv,
     write_summary_text,
 )
-from famespan.stats import WIDTH_5_YEARS, BootstrapInterval, assign_cohorts, cumulative_curve
+from famespan.stats import (
+    WIDTH_5_YEARS,
+    BootstrapInterval,
+    Cohort,
+    assign_cohorts,
+    cumulative_curve,
+)
 
 
 def period(peak, duration, name="x", method=METHOD_CONTINUITY):
@@ -73,6 +81,39 @@ def test_periods_csv_duration_formats(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "name,method,start,end,peak_date,duration_days"
     assert lines[1].endswith(",7")
+
+
+_PERIODS_HEADER = "name,method,start,end,peak_date,duration_days\n"
+
+
+@pytest.mark.parametrize("text, where, reason", [
+    ("name,start,end\nA,2005-01-01,2005-01-08\n", 1, "not a periods CSV"),
+    ("", 1, "not a periods CSV"),
+    (_PERIODS_HEADER + "A,spike,2005-01-03,2005-01-10,2005-01-03,7\nB,spike,2005-01-03\n", 3,
+     "expected 6 fields, got 3"),
+    (_PERIODS_HEADER + "A,spike,2005-01-03,notadate,2005-01-03,7\n", 2, "'notadate'"),
+    (_PERIODS_HEADER + "A,spike,2005-01-10,2005-01-03,2005-01-05,-7\n", 2,
+     "end 2005-01-03 is before start 2005-01-10"),
+], ids=["header", "empty", "field-count", "timestamp", "end-before-start"])
+def test_malformed_periods_csv_is_a_data_error(tmp_path, text, where, reason):
+    path = tmp_path / "periods_spike_all.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        read_periods_csv(path)
+    assert str(info.value).startswith(f"{path}:{where}: ")
+    assert reason in str(info.value)
+
+
+def test_zero_length_period_leaves_alpha_na_and_keeps_quantiles():
+    cohort = Cohort(date(1945, 1, 1), WIDTH_5_YEARS, np.array([0.0, 7.0, 9.0]))
+    cs = compute_cohort_stats(METHOD_CONTINUITY, "all", cohort, master_seed=2, reps=100,
+                              level=0.99)
+    assert cs.fit is None and cs.alpha is None
+    assert cs.alpha_error.startswith("DegenerateTail: ")
+    assert fit_record(cs) == {"error": cs.alpha_error}
+    assert set(cs.quantiles) == {"p50", "p90", "p99"}
+    assert all(0.0 <= iv.lo <= iv.point <= iv.hi <= 9.0 for iv in cs.quantiles.values())
+    assert summary_row(cs)[3] == "7 (0 .. 9)" and summary_row(cs)[6] == NA
 
 
 def test_quantile_series_csv(tmp_path):

@@ -138,7 +138,7 @@ class TestPowerLawFit:
             pass
 
     def test_positive_durations_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateTail):
             fit_power_law([0.0, 1.0, 2.0])
 
 
@@ -331,9 +331,9 @@ class TestKeyedResampling:
         reference = stats._resample_rows
         drawn = []
 
-        def recording(seed, first, count, n):
-            rows = reference(seed, first, count, n)
-            drawn.append((first, rows))
+        def recording(seed, first, count, n, out=None):
+            rows = reference(seed, first, count, n, out)
+            drawn.append((first, rows.copy()))  # the batch buffer is reused
             return rows
 
         values = np.random.default_rng(3).exponential(size=41)
@@ -348,6 +348,34 @@ class TestKeyedResampling:
         for r in range(20):
             assert np.array_equal(rows[r], stats._resample_indices(8, r, values.size))
         assert np.array_equal(whole["p50"][0], batched["p50"][0])
+
+    def test_cell_hashes_every_batch_into_one_buffer(self, monkeypatch):
+        # a 25,000-rep cell at n=150 takes many batches; each is hashed into
+        # the one working set the cell allocates, and hashing a batch into
+        # it allocates no array the size of the batch's hash words
+        from famespan import stats
+
+        reference = stats._resample_rows
+        buffers, peaks = [], []
+
+        def recording(seed, first, count, n, out=None):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = reference(seed, first, count, n, out)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            buffers.append(out)
+            return rows
+
+        values = power_law_samples(-2.5, 7.0, 150, seed=2)
+        monkeypatch.setattr(stats, "_resample_rows", recording)
+        tracemalloc.start()
+        try:
+            stats._bootstrap_replicates(values, [QuantileStatistic(0.5)], 25000, 1)
+        finally:
+            tracemalloc.stop()
+        assert len(buffers) == -(-25000 // (stats._BATCH_ELEMENTS // 150))
+        assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
+        assert max(peaks) < buffers[0][0].nbytes // 2
 
     def test_first_replicates_do_not_depend_on_reps(self):
         from famespan.stats import _bootstrap_replicates
