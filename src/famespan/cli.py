@@ -10,10 +10,11 @@ inspected through its intermediate files:
   stats    quantile series, cumulative curves, tail fits for one periods CSV
   report   summary table (+ manifest) from periods CSVs
   run      all of the above end to end, in memory
-  fixture  write a bundled disagreement fixture as a timelines TSV
 
 All randomness flows from one --seed; stage seeds are derived, so equal
 (config, seed, inputs) produce byte-identical artifacts.
+
+extract runs without numpy; the numpy-side stages load on first use (_load_stages).
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 statistics error.
 """
@@ -21,17 +22,16 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 statistics error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from fractions import Fraction
 from itertools import compress, starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-import numpy as np
-
-from . import report as rep
+from .constants import METHOD_SPIKE, METHODS, UNDERFULL_POLICIES, WIDTH_3_MONTHS, WIDTH_5_YEARS
 from .corpus_io import (
     AnalysisWindow,
     Block,
@@ -39,39 +39,46 @@ from .corpus_io import (
     as_document,
     document_to_json,
     read_documents,
+    record_json,
     write_documents,
 )
 from .dates import parse_month
 from .errors import ConfigError, DataError, EmptyCohort, FamespanError
-from .fixtures import FIXTURE_KINDS, fixture_timeline
-from .name_extract import RecognizerConfig, load_recognizer, mentions_of
-from .peaks import (
-    METHOD_SPIKE,
-    METHODS,
-    FamePeriod,
-    WeekGrid,
-    continuity_period,
-    period_filter,
-    spike_period,
-)
-from .sampler import (
-    UNDERFULL_POLICIES,
-    SamplerConfig,
-    keep_scorer,
-    sample_columns,
-    write_sampling_report,
-)
-from .stats import WIDTH_3_MONTHS, WIDTH_5_YEARS, assign_cohorts, cumulative_curve
-from .timeline import (
-    MentionColumns,
-    Timeline,
-    basic_name_filter,
-    build_timelines,
-    top_frac_by_year,
-    top_k_by_year,
-    write_timelines_tsv,
-    yearly_counts,
-)
+from .name_extract import RecognizerConfig, load_recognizer, mentions_of, phrase_counts
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import report as rep
+    from .peaks import FamePeriod, WeekGrid
+    from .timeline import Timeline
+
+
+def _load_stages() -> None:
+    """Bind the numpy-side stage names into this module's namespace.  The
+    stage code looks them up here, so a name already bound (a wrapper
+    that perfbench/layertrace.py put in first) is kept; calling this again
+    changes nothing."""
+    from . import report as rep
+    from .peaks import WeekGrid, continuity_period, period_filter, spike_period
+    from .sampler import SamplerConfig, keep_scorer, sample_columns, write_sampling_report
+    from .stats import assign_cohorts, cumulative_curve
+    from .timeline import (MentionColumns, basic_name_filter, build_timelines, top_frac_by_year,
+                           top_k_by_year, yearly_counts)
+
+    for name, value in dict(locals()).items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """A stage name looked up from outside before any stage ran (PEP 562);
+    tools probing dunders (doctest's __test__) do not load the stages."""
+    if not name.startswith("__"):
+        _load_stages()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FILTERS = ("all", "top-1000", "top-0.1%")
 _FILTER_FILE_TOKEN = {"all": "all", "top-1000": "top-1000", "top-0.1%": "top-0.1pct"}
@@ -182,6 +189,7 @@ def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_
     those documents the keyed sampler keeps; the sampling report is
     written from it."""
     from array import array  # imported on use, so stats and report load less
+    _load_stages()
     months, scores = array("i"), array("d")
     score = keep_scorer(sampler_cfg.seed)
     for path in inputs:
@@ -201,6 +209,7 @@ def build_pipeline_timelines(
     """Ingest, then cut the kept documents' mentions into timelines.  Raw
     documents wait for the sampler, so only kept ones meet the recognizer;
     pre-tagged mentions go straight into columns."""
+    _load_stages()
     recognizer = cfg.recognizer()
     sampler_cfg = SamplerConfig(cfg.n_min, cfg.seed, cfg.underfull_policy)
     if cfg.schema == "raw":
@@ -460,15 +469,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_extract(args) -> int:
     recognizer = load_recognizer(args.gazetteer, args.honorifics, args.stoplist)
-
-    def tagged(docs: Iterable[Document]):
-        for doc in docs:
-            mentions = tuple((m.name, m.count) for m in mentions_of(doc, recognizer))
-            yield Document(id=doc.id, timestamp=doc.timestamp, mentions=mentions)
-
     reader = read_documents(args.input, "raw")
+    tagged = (record_json(doc_id, stamp.timestamp, phrase_counts(text, recognizer).items())
+              for doc_id, stamp, text in reader.records())
     with _Outputs() as outputs:
-        n = write_documents(tagged(reader), outputs.track(args.out))
+        n = write_documents(tagged, outputs.track(args.out))
     print(f"extracted mentions for {n} documents to {args.out} "
           f"({reader.stats.malformed} malformed lines skipped)")
     return 0
@@ -493,8 +498,6 @@ def _cmd_periods(args) -> int:
     cfg = _build_run_config(args)
     with _ArtifactDir(Path(args.out_dir)) as art:
         timelines = build_pipeline_timelines(cfg, args.input, art.path("sampling_report.csv"))
-        if args.timelines:
-            write_timelines_tsv(timelines, art.path(args.timelines))
         n = sum(1 for _ in fame_periods(cfg, timelines, art))
     print(f"wrote {n} period files to {args.out_dir}")
     return 0
@@ -558,13 +561,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_fixture(args) -> int:
-    t = fixture_timeline(args.kind)
-    write_timelines_tsv({t.name: t}, args.out)
-    print(f"wrote fixture {args.kind} to {args.out}")
-    return 0
-
-
 FORMATS_EPILOG = """\
 file formats (all UTF-8, LF newlines; an input may start with a byte-order mark):
   raw corpus        JSONL: {"id": str, "date": ISO-8601, "text": str}
@@ -616,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_pipeline_args(p)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--timelines", help="also persist timelines TSV under this name")
     p.set_defaults(func=_cmd_periods)
 
     p = sub.add_parser("stats", help="statistics artifacts for existing periods CSVs")
@@ -642,17 +637,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("fixture", help="write a bundled disagreement fixture as timelines TSV")
-    p.add_argument("--kind", choices=FIXTURE_KINDS, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_cmd_fixture)
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is not _cmd_extract:
+        if "numpy" not in sys.modules:
+            # no BLAS call is made (einsum("ij,ij->i") runs numpy's own loop), so an
+            # OpenBLAS thread pool only adds start-up time; a value the user set wins
+            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        _load_stages()
     try:
         return args.func(args)
     except FamespanError as exc:

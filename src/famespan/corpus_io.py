@@ -350,11 +350,17 @@ def write_documents(docs: Iterable[Document | str], path: str | Path) -> int:
 
 
 def document_to_json(doc: Document) -> str:
-    rec: dict = {"id": doc.id, "date": iso(doc.timestamp)}
-    if doc.text is not None:
-        rec["text"] = doc.text
+    return record_json(doc.id, doc.timestamp, doc.text if doc.text is not None else doc.mentions)
+
+
+def record_json(doc_id: str, timestamp: Timestamp, payload: str | Iterable[tuple[str, int]]) -> str:
+    """The JSON line of one document: a raw text, or (name, count) pairs
+    as its mentions."""
+    rec: dict = {"id": doc_id, "date": iso(timestamp)}
+    if isinstance(payload, str):
+        rec["text"] = payload
     else:
-        rec["mentions"] = [[name, count] for name, count in doc.mentions]
+        rec["mentions"] = [[name, count] for name, count in payload]
     return json.dumps(rec, ensure_ascii=False, separators=(",", ":"))
 
 

@@ -11,6 +11,7 @@ by supplying pre-tagged documents; downstream measurements only see
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -123,6 +124,12 @@ def extract_mentions(doc: Document, cfg: RecognizerConfig) -> list[Mention]:
     for phrase in _accepted_phrases(doc.text, cfg):
         counts[phrase] = counts.get(phrase, 0) + 1
     return [Mention(name, doc.timestamp, n) for name, n in counts.items()]
+
+
+def phrase_counts(text: str, cfg: RecognizerConfig) -> Counter[str]:
+    """Each accepted phrase of ``text`` and its number of occurrences, in
+    order of first occurrence, as extract_mentions counts them."""
+    return Counter(_accepted_phrases(text, cfg))
 
 
 def _accepted_phrases(text: str, cfg: RecognizerConfig):

@@ -26,15 +26,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .constants import METHOD_CONTINUITY, METHOD_SPIKE
 from .corpus_io import AnalysisWindow
 from .dates import US_PER_DAY, Timestamp, epoch_us, from_epoch_us, monday_on_or_before
 
 WEEK_DAYS = 7
 WEEK_US = WEEK_DAYS * US_PER_DAY
-
-METHOD_SPIKE = "spike"
-METHOD_CONTINUITY = "continuity"
-METHODS = (METHOD_SPIKE, METHOD_CONTINUITY)
 
 
 @dataclass(frozen=True)

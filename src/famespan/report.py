@@ -63,8 +63,10 @@ def write_periods_csv(periods: Sequence[FamePeriod], path: str | Path) -> None:
 def read_periods_csv(path: str | Path) -> list[FamePeriod]:
     """Re-read persisted periods; durations are recomputed from the full-
     precision start/end timestamps so rounding in the CSV cannot drift.
-    A bad header or row raises DataError naming the file and line."""
+    A bad header or row, or a second row for one (name, method), raises
+    DataError naming the file and line."""
     out: list[FamePeriod] = []
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, [])[:2] != ["name", "method"]:
@@ -74,6 +76,10 @@ def read_periods_csv(path: str | Path) -> list[FamePeriod]:
                 if len(row) != 6:
                     raise ValueError(f"expected 6 fields, got {len(row)}")
                 name, method, start_raw, end_raw, peak_raw, _dur = row
+                first = first_line.setdefault((name, method), reader.line_num)
+                if first != reader.line_num:
+                    raise ValueError(f"second row for ({name!r}, {method}); "
+                                     f"the first is at {path}:{first}")
                 start, end = parse_timestamp(start_raw), parse_timestamp(end_raw)
                 duration = (epoch_us(end) - epoch_us(start)) / US_PER_DAY
                 if duration < 0:

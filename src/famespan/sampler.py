@@ -20,11 +20,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .constants import UNDERFULL_POLICIES
 from .corpus_io import Document
 from .dates import month_from_index, month_of
 from .errors import ConfigError, UnderfullMonth
-
-UNDERFULL_POLICIES = ("drop-month", "keep-all", "fail")
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .constants import WIDTH_3_MONTHS, WIDTH_5_YEARS
 from .dates import month_from_index, month_index
 from .errors import DegenerateTail, EmptyCohort, InsufficientTail, UnstableStatistic
 from .peaks import FamePeriod
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-WIDTH_3_MONTHS = 3
-WIDTH_5_YEARS = 60
 
 
 def derive_seed(master: int, *parts) -> int:

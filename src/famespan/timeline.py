@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus_io import MAX_COUNT, Block
-from .dates import Timestamp, epoch_us, from_epoch_us, iso, parse_timestamp
+from .dates import Timestamp, epoch_us, from_epoch_us
 from .errors import DataError
 from .name_extract import Mention
 
@@ -37,8 +36,13 @@ class Timeline:
     @classmethod
     def from_pairs(cls, name: str, pairs: Iterable[tuple[Timestamp | int, int]]) -> "Timeline":
         """Build from (timestamp, count) pairs; duplicates merge additively.
-        A count outside [1, 2**63 - 1] raises ValueError."""
-        timelines = build_timelines((name, ts, _checked_count(name, count)) for ts, count in pairs)
+        A count outside [1, 2**63 - 1], which the int64 columns and the
+        corpus readers refuse, raises ValueError."""
+        pairs = list(pairs)
+        for _, count in pairs:
+            if not 1 <= count <= MAX_COUNT:
+                raise ValueError(f"timeline {name!r}: count must be in [1, 2**63 - 1], got {count}")
+        timelines = build_timelines((name, ts, count) for ts, count in pairs)
         if not timelines:
             raise ValueError(f"timeline {name!r} is empty")
         return timelines[name]
@@ -231,29 +235,3 @@ def top_frac_by_year(
         take = math.ceil(len(entries) * frac)
         selected.update(_top_of_year(entries, take))
     return selected
-
-
-def write_timelines_tsv(timelines: dict[str, Timeline], path: str | Path) -> None:
-    """Persist as (name, timestamp, multiplicity) rows, byte-stable order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(timelines):
-            t = timelines[name]
-            for us, count in zip(t.times_us.tolist(), t.counts.tolist()):
-                fh.write(f"{name}\t{iso(from_epoch_us(us))}\t{count}\n")
-
-
-def read_timelines_tsv(path: str | Path) -> dict[str, Timeline]:
-    """The timelines of a write_timelines_tsv file; a count outside
-    [1, 2**63 - 1] raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.rstrip("\n")]
-    return build_timelines((name, parse_timestamp(ts), _checked_count(name, int(count)))
-                           for name, ts, count in rows)
-
-
-def _checked_count(name: str, count: int) -> int:
-    """``count`` when it is a mention count the int64 columns hold, as the
-    corpus readers require; ValueError otherwise."""
-    if not 1 <= count <= MAX_COUNT:
-        raise ValueError(f"timeline {name!r}: count must be in [1, 2**63 - 1], got {count}")
-    return count

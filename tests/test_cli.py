@@ -195,12 +195,6 @@ def test_extract_subcommand(tmp_path):
     assert rec["mentions"] == [["Ada Lovelace", 2]]
 
 
-def test_fixture_subcommand(tmp_path):
-    out = tmp_path / "fixture.tsv"
-    assert main(["fixture", "--kind", "monroe-like", "--out", str(out)]) == 0
-    assert out.read_text().startswith("monroe-like\t")
-
-
 def _raw_corpus(tmp_path):
     raw = tmp_path / "raw.jsonl"
     rows = []
@@ -402,11 +396,10 @@ EXPECTED_FLAGS = {
     "synth": {"--spec", "--seed", "--out"},
     "extract": {"--input", "--gazetteer", "--honorifics", "--stoplist", "--out"},
     "sample": INPUT_FLAGS | {"--out", "--report"},
-    "periods": INPUT_FLAGS | PIPELINE_FLAGS | {"--out-dir", "--timelines"},
+    "periods": INPUT_FLAGS | PIPELINE_FLAGS | {"--out-dir"},
     "stats": {"--periods", "--seed", "--widths", "--out-dir"} | BOOTSTRAP_FLAGS,
     "report": {"--periods", "--seed", "--width", "--out-dir"} | BOOTSTRAP_FLAGS,
     "run": INPUT_FLAGS | PIPELINE_FLAGS | BOOTSTRAP_FLAGS | {"--widths", "--out-dir"},
-    "fixture": {"--kind", "--out"},
 }
 
 

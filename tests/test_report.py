@@ -104,6 +104,19 @@ def test_malformed_periods_csv_is_a_data_error(tmp_path, text, where, reason):
     assert reason in str(info.value)
 
 
+def test_duplicate_periods_row_is_a_data_error(tmp_path):
+    # one period read twice would be a cohort of two
+    row = "A,spike,2005-01-03,2005-01-10,2005-01-03,7\n"
+    path = tmp_path / "periods_spike_all.csv"
+    path.write_text(_PERIODS_HEADER + row + "B,spike,2005-01-03,2005-01-17,2005-01-10,14\n" + row,
+                    encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        read_periods_csv(path)
+    assert str(info.value) == f"{path}:4: second row for ('A', spike); the first is at {path}:2"
+    path.write_text(_PERIODS_HEADER + row + row.replace("spike", "continuity"), encoding="utf-8")
+    assert [(p.name, p.method) for p in read_periods_csv(path)] == [("A", "spike"), ("A", "continuity")]
+
+
 def test_zero_length_period_leaves_alpha_na_and_keeps_quantiles():
     cohort = Cohort(date(1945, 1, 1), WIDTH_5_YEARS, np.array([0.0, 7.0, 9.0]))
     cs = compute_cohort_stats(METHOD_CONTINUITY, "all", cohort, master_seed=2, reps=100,

@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import Counter
-from datetime import date, datetime
+from datetime import date
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +16,8 @@ from famespan.timeline import (
     YearlyCount,
     basic_name_filter,
     build_timelines,
-    read_timelines_tsv,
     top_frac_by_year,
     top_k_by_year,
-    write_timelines_tsv,
     yearly_counts,
 )
 
@@ -133,32 +131,9 @@ def test_monotone_in_added_years():
     assert base_f <= top_frac_by_year(more, 1)
 
 
-def test_tsv_round_trip(tmp_path):
-    tls = build_timelines(
-        [
-            Mention("B name", D2, 1),
-            Mention("A name", D1, 2),
-            Mention("A name", datetime(1950, 3, 4, 12, 30), 1),
-        ]
-    )
-    path = tmp_path / "timelines.tsv"
-    write_timelines_tsv(tls, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == sorted(lines)  # byte-stable (name, timestamp) order
-    assert read_timelines_tsv(path) == tls
-
-
 # the corpus readers reject the same counts as malformed lines
 BAD_COUNTS = (-4, 0, 2**63)
 BAD_COUNT_ERROR = r"^timeline 'Ada': count must be in \[1, 2\*\*63 - 1\], got {}$"
-
-
-@pytest.mark.parametrize("count", BAD_COUNTS)
-def test_tsv_count_outside_int64_mention_range_rejected(tmp_path, count):
-    path = tmp_path / "timelines.tsv"
-    path.write_text(f"Grace\t2005-03-01\t1\nAda\t2005-03-01\t{count}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=BAD_COUNT_ERROR.format(count)):
-        read_timelines_tsv(path)
 
 
 @pytest.mark.parametrize("count", (-3, *BAD_COUNTS))
