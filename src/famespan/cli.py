@@ -29,17 +29,20 @@ from datetime import date
 from fractions import Fraction
 from itertools import compress, starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
 from .constants import METHOD_SPIKE, METHODS, UNDERFULL_POLICIES, WIDTH_3_MONTHS, WIDTH_5_YEARS
 from .corpus_io import (
     AnalysisWindow,
     Block,
-    Document,
+    ListSink,
+    Sink,
     as_document,
     document_to_json,
     read_documents,
+    receive_array,
     record_json,
+    send_array,
     write_documents,
 )
 from .dates import parse_month
@@ -182,22 +185,46 @@ class _ArtifactDir(_Outputs):
 # the pipeline, one implementation per stage
 
 
+class _Keyed:
+    """The Sink of ingest: each windowed document's month index and keep
+    score, beside what ``collect`` keeps of it."""
+
+    def __init__(self, score: Callable[[str], float], collect: Sink):
+        from array import array  # imported on use, so stats and report load less
+        self.score, self.collect = score, collect
+        self.months, self.scores = array("i"), array("d")
+
+    def add_block(self, block: Block) -> None:
+        self.months.fromlist([stamp.month for stamp in block.stamps])
+        self.scores.fromlist(list(map(self.score, block.ids)))
+        self.collect.add_block(block)
+
+    def shard(self) -> _Keyed:
+        return _Keyed(self.score, self.collect.shard())
+
+    def send(self, fh: BinaryIO) -> None:
+        send_array(fh, self.months)
+        send_array(fh, self.scores)
+        self.collect.send(fh)
+
+    def receive(self, fh: BinaryIO) -> None:
+        receive_array(fh, self.months)
+        receive_array(fh, self.scores)
+        self.collect.receive(fh)
+
+
 def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_cfg: SamplerConfig,
-           collect: Callable[[Block], None], report_path: Path | None = None) -> np.ndarray:
-    """The one pass over the inputs: ``collect`` sees each Block of
+           collect: Sink, report_path: Path | None = None) -> np.ndarray:
+    """The one pass over the inputs: ``collect`` takes each Block of
     windowed documents in input order, and the returned mask says which of
     those documents the keyed sampler keeps; the sampling report is
-    written from it."""
-    from array import array  # imported on use, so stats and report load less
+    written from it.  Large inputs are read on every usable CPU
+    (DocumentReader.read)."""
     _load_stages()
-    months, scores = array("i"), array("d")
-    score = keep_scorer(sampler_cfg.seed)
+    keyed = _Keyed(keep_scorer(sampler_cfg.seed), collect)
     for path in inputs:
-        for block in read_documents(path, schema).blocks(window):
-            months.fromlist([stamp.month for stamp in block.stamps])
-            scores.fromlist(list(map(score, block.ids)))
-            collect(block)
-    volumes, keep, kept_counts = sample_columns(months, scores, sampler_cfg)
+        read_documents(path, schema).read(keyed, window)
+    volumes, keep, kept_counts = sample_columns(keyed.months, keyed.scores, sampler_cfg)
     if report_path is not None:
         write_sampling_report(volumes, kept_counts, report_path)
     return keep
@@ -213,13 +240,12 @@ def build_pipeline_timelines(
     recognizer = cfg.recognizer()
     sampler_cfg = SamplerConfig(cfg.n_min, cfg.seed, cfg.underfull_policy)
     if cfg.schema == "raw":
-        docs: list[Document] = []
-        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg,
-                      lambda block: docs.extend(starmap(as_document, block.records())), report_path)
-        timelines = build_timelines(m for d in compress(docs, keep) for m in mentions_of(d, recognizer))
+        docs = ListSink(lambda block: starmap(as_document, block.records()))
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, docs, report_path)
+        timelines = build_timelines(m for d in compress(docs.items, keep) for m in mentions_of(d, recognizer))
     else:
         cols = MentionColumns()
-        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, cols.add_block, report_path)
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, cols, report_path)
         timelines = build_timelines(cols, keep)
     if not timelines:
         raise DataError("no mentions found inside the analysis window")
@@ -470,10 +496,12 @@ def _cmd_synth(args) -> int:
 def _cmd_extract(args) -> int:
     recognizer = load_recognizer(args.gazetteer, args.honorifics, args.stoplist)
     reader = read_documents(args.input, "raw")
-    tagged = (record_json(doc_id, stamp.timestamp, phrase_counts(text, recognizer).items())
-              for doc_id, stamp, text in reader.records())
+    tagged = ListSink(lambda block: [
+        record_json(doc_id, stamp.timestamp, phrase_counts(text, recognizer).items())
+        for doc_id, stamp, text in block.records()])
+    reader.read(tagged)
     with _Outputs() as outputs:
-        n = write_documents(tagged, outputs.track(args.out))
+        n = write_documents(tagged.items, outputs.track(args.out))
     print(f"extracted mentions for {n} documents to {args.out} "
           f"({reader.stats.malformed} malformed lines skipped)")
     return 0
@@ -485,11 +513,9 @@ def _cmd_sample(args) -> int:
     with _Outputs() as outputs:
         out = outputs.track(args.out)
         report = outputs.track(args.report) if args.report else None
-        lines: list[str] = []
-        keep = ingest(args.input, args.schema, window, sampler_cfg,
-                      lambda block: lines.extend(map(document_to_json, starmap(as_document, block.records()))),
-                      report)
-        n = write_documents(compress(lines, keep), out)
+        lines = ListSink(lambda block: map(document_to_json, starmap(as_document, block.records())))
+        keep = ingest(args.input, args.schema, window, sampler_cfg, lines, report)
+        n = write_documents(compress(lines.items, keep), out)
     print(f"kept {n} documents -> {args.out}")
     return 0
 
@@ -562,7 +588,9 @@ def _cmd_run(args) -> int:
 
 
 FORMATS_EPILOG = """\
-file formats (all UTF-8, LF newlines; an input may start with a byte-order mark):
+file formats (all UTF-8; lines end in LF, CRLF or CR; an input may start with a
+byte-order mark; a line that is not UTF-8, or whose JSON leaves a lone surrogate
+in an id, text or name, is malformed):
   raw corpus        JSONL: {"id": str, "date": ISO-8601, "text": str}
   pretagged corpus  JSONL: {"id": str, "date": ISO-8601, "mentions": [[name, count], ...]}
                     (1 <= count < 2**63)

@@ -22,6 +22,21 @@ lines in the window become a Block of columns; records() flattens blocks
 into ``(id, Stamp, payload)``, the payload being a raw line's text or the
 (names, counts) lists of a pre-tagged one, and iteration gives Documents.
 
+Lines end in LF, CRLF or CR.  Bytes are decoded a piece of about
+_READ_BYTES at a time; a piece that is not valid UTF-8 is split into
+lines again, and each line that does not decode is malformed.  A JSON
+string escape that leaves a lone surrogate in an id, a text or a name
+makes its line malformed too; only pieces holding a ``\\ud`` escape pay
+for that check.
+
+DocumentReader.read() feeds a whole file to a Sink.  A file of at least
+2 * _SHARD_MIN_BYTES is cut, each cut just after a newline byte, into up
+to one byte range per CPU the process may run on.  Forked children read
+every range but the first into sinks of their own and send them back
+over a pipe; the parent reads the first range, then appends the
+children's sinks in file order, so the sink, the ReadStats and every
+error text are those of a read in one process.
+
 Malformed lines are counted and skipped; if more than 10% of non-blank
 lines are malformed the reader raises SchemaError at end of stream,
 since that level of breakage signals the wrong schema choice rather
@@ -30,17 +45,27 @@ than dirty data.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import partial
 from itertools import accumulate, chain, islice, starmap
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, Union
 
 from .dates import Timestamp, epoch_us, iso, month_index, parse_timestamp
 from .errors import SchemaError
+
+if TYPE_CHECKING:
+    from array import array
+
+# pickle and signal serve only files read in shards, so they are imported
+# on use and a launch that reads no large file does not load them
 
 MALFORMED_FRACTION_LIMIT = 0.10
 
@@ -53,6 +78,12 @@ _STAMP_MEMO_LIMIT = 1024
 # Input lines per block: about 7 decoded containers per line keep a block
 # below the garbage collector's generation-0 threshold of 700.
 _BLOCK_LINES = 32
+
+# Bytes decoded at a time, and bytes appended at a time from a shard's pipe.
+_READ_BYTES = 1 << 16
+
+# A file is cut into byte ranges of at least this size, one per usable CPU.
+_SHARD_MIN_BYTES = 2 << 20
 
 _scan_json = json.JSONDecoder().scan_once
 
@@ -158,8 +189,32 @@ class Block(NamedTuple):
                 for doc_id, stamp, n, end in zip(self.ids, self.stamps, self.sizes, accumulate(self.sizes)))
 
 
+class Sink(Protocol):
+    """What DocumentReader.read() feeds: it takes Blocks in file order, and
+    a sink that shard() made in a forked child travels back through send()
+    and receive()."""
+
+    def add_block(self, block: Block) -> None:
+        """Take the next Block."""
+
+    def shard(self) -> "Sink":
+        """An empty sink of the same kind, for one byte range of a file."""
+
+    def send(self, fh: BinaryIO) -> None:
+        """Write what this sink holds to a pipe."""
+
+    def receive(self, fh: BinaryIO) -> None:
+        """Append what another sink's send() wrote."""
+
+
+# a byte range's counts, and its first 10 errors with line numbers counted
+# from the range's start
+Tally = tuple[ReadStats, list[tuple[int, str]]]
+
+
 class DocumentReader:
-    """Iterable over one input file; exposes .stats once exhausted."""
+    """One input file: iterable in-process, or read() into a Sink; exposes
+    .stats once the whole file has been read."""
 
     def __init__(self, path: str | Path, schema: str):
         if schema not in SCHEMAS:
@@ -177,42 +232,142 @@ class DocumentReader:
         return chain.from_iterable(map(Block.records, self.blocks(window)))
 
     def blocks(self, window: AnalysisWindow | None = None) -> Iterator[Block]:
-        """The well-formed lines in ``window``, in file order, one Block per
-        _BLOCK_LINES input lines that has any.  Lines outside the window are
-        validated and counted all the same."""
-        stats = self.stats
+        """The well-formed lines in ``window``, in file order, read in this
+        process, one Block per _BLOCK_LINES input lines that has any.  Lines
+        outside the window are validated and counted all the same."""
+        with open(self.path, "rb") as fh:
+            tsv_ids = self._tsv_ids(fh)
+        tally: Tally = (ReadStats(), [])
+        yield from self._range_blocks(window, tsv_ids, 0, None, tally)
+        self._finish([tally])
+
+    def read(self, sink: Sink, window: AnalysisWindow | None = None) -> None:
+        """Feed the Blocks of the whole file to ``sink`` in file order (see
+        the module notes): the parent reads the first byte range while
+        forked children read the others.  A child's error is raised as
+        it was raised there, that of the earliest range first, and every
+        child is reaped before this returns or raises."""
+        with open(self.path, "rb") as fh:
+            tsv_ids = self._tsv_ids(fh)
+            ranges = _byte_ranges(fh)
+        children: list[tuple[int, BinaryIO]] = []
+        try:
+            for start, end in ranges[1:]:
+                children.append(_fork(partial(self._send_range, sink, window, tsv_ids, start, end)))
+            tallies: list[Tally] = [(ReadStats(), [])]
+            for block in self._range_blocks(window, tsv_ids, *ranges[0], tallies[0]):
+                sink.add_block(block)
+            for (pid, pipe), (start, end) in zip(children, ranges[1:]):
+                tallies.append(self._receive_range(sink, pipe, start, end))
+        except BaseException:
+            from signal import SIGKILL
+            for pid, _ in children:
+                os.kill(pid, SIGKILL)
+            raise
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                os.waitpid(pid, 0)
+        self._finish(tallies)
+
+    def _tsv_ids(self, fh: BinaryIO) -> str:
+        """The id prefix of a TSV file, "" for JSON lines: a pre-tagged file
+        is TSV unless its first character past white space (and past a
+        byte-order mark, which would otherwise sniff a JSON-lines file as
+        TSV) is "{"."""
+        if self.schema != "pretagged":
+            return ""
+        decoder = codecs.getincrementaldecoder("utf-8-sig")("replace")
+        while piece := fh.read(1 << 16):
+            if text := decoder.decode(piece).lstrip():
+                return "" if text.startswith("{") else f"tsv:{_file_digest(self.path)[:16]}:"
+        return ""
+
+    def _range_blocks(self, window: AnalysisWindow | None, tsv_ids: str, start: int,
+                      end: int | None, tally: Tally) -> Iterator[Block]:
+        """The Blocks of the lines in bytes [start, end) of the file (to its
+        end if ``end`` is None), which begin just after a newline.  Lines
+        are numbered from 1 in ``tally``'s first 10 errors; TSV ids count
+        the lines before ``start`` too."""
+        stats, errors = tally
+        schema = self.schema
         stamps = _Stamps(window)
-        tsv_ids = None  # id prefix of a TSV file, "" for JSON lines
-        # utf-8-sig drops a byte-order mark, which would otherwise make the
-        # first line malformed and sniff a JSON-lines file as TSV
-        with open(self.path, "r", encoding="utf-8-sig") as fh:
-            numbered = enumerate(fh, start=1)
-            while chunk := list(islice(numbered, _BLOCK_LINES)):
-                records, linenos, failed = [], [], []
-                for lineno, line in chunk:
-                    stripped = line.strip()
-                    if not stripped:
-                        stats.blank += 1
-                        continue
-                    if tsv_ids is None:
-                        tsv = self.schema == "pretagged" and not stripped.startswith("{")
-                        tsv_ids = f"tsv:{_file_digest(self.path)[:16]}:" if tsv else ""
-                    try:
-                        if tsv_ids:
-                            records.append(_parse_tsv_line(stripped, f"{tsv_ids}{lineno}", stamps))
-                        else:
-                            records.append(_parse_json_line(stripped, self.schema, stamps))
-                        linenos.append(lineno)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        failed.append((lineno, exc))
-                block = _block(records, linenos, failed, self.schema)
-                stats.lines += len(chunk)
-                stats.malformed += len(failed)
-                stats.documents = stats.lines - stats.blank - stats.malformed
-                stats.errors += [f"{self.path.name}:{lineno}: {exc}"
-                                 for lineno, exc in failed[:10 - len(stats.errors)]]
-                if block:
-                    yield block
+        with open(self.path, "rb") as fh:
+            before = _count_lines(fh, start) if tsv_ids else 0
+            fh.seek(start)
+            if start == 0 and fh.read(3) != codecs.BOM_UTF8:
+                fh.seek(0)
+            lineno = 1
+            for piece in _pieces(fh, None if end is None else end - fh.tell()):
+                lines, escapes = _decode(piece)
+                parse_json = _parse_escaped_json_line if escapes else _parse_json_line
+                numbered = enumerate(lines, start=lineno)
+                lineno += len(lines)
+                while chunk := list(islice(numbered, _BLOCK_LINES)):
+                    records, linenos, failed = [], [], []
+                    for n, line in chunk:
+                        try:
+                            stripped = line.strip()  # raises for a line that is not UTF-8
+                            if not stripped:
+                                stats.blank += 1
+                                continue
+                            if tsv_ids:
+                                records.append(_parse_tsv_line(stripped, f"{tsv_ids}{before + n}", stamps))
+                            else:
+                                records.append(parse_json(stripped, schema, stamps))
+                            linenos.append(n)
+                        except (ValueError, KeyError, TypeError) as exc:
+                            failed.append((n, exc))
+                    block = _block(records, linenos, failed, schema)
+                    stats.lines += len(chunk)
+                    stats.malformed += len(failed)
+                    stats.documents = stats.lines - stats.blank - stats.malformed
+                    errors += [(n, str(exc)) for n, exc in failed[:10 - len(errors)]]
+                    if block:
+                        yield block
+
+    def _send_range(self, sink: Sink, window: AnalysisWindow | None, tsv_ids: str, start: int,
+                    end: int | None, out: BinaryIO) -> None:
+        """In a forked child: read one byte range into a shard of ``sink``
+        and write (None, its Tally) and the shard to ``out``, or (the
+        error, None)."""
+        import pickle
+        shard, tally = sink.shard(), (ReadStats(), [])
+        try:
+            for block in self._range_blocks(window, tsv_ids, start, end, tally):
+                shard.add_block(block)
+        except Exception as exc:
+            pickle.dump((exc, None), out)
+            return
+        pickle.dump((None, tally), out)
+        shard.send(out)
+
+    def _receive_range(self, sink: Sink, pipe: BinaryIO, start: int, end: int | None) -> Tally:
+        """Append what _send_range wrote to ``sink``; its Tally."""
+        import pickle
+        try:
+            error, tally = pickle.load(pipe)
+            if error is None:
+                sink.receive(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"{self.path}: the reader of bytes {start} to {end or 'the end'} "
+                                    "ended without a result") from None
+        if error is not None:
+            raise error
+        return tally
+
+    def _finish(self, tallies: list[Tally]) -> None:
+        """Add the Tallies of the file's byte ranges, in file order, to
+        .stats, with line numbers counted from the file's start; raise
+        SchemaError past the malformed limit."""
+        stats = self.stats
+        for part, errors in tallies:
+            stats.errors += [f"{self.path.name}:{stats.lines + n}: {message}"
+                             for n, message in errors[:10 - len(stats.errors)]]
+            stats.lines += part.lines
+            stats.blank += part.blank
+            stats.malformed += part.malformed
+        stats.documents = stats.lines - stats.blank - stats.malformed
         processed = stats.documents + stats.malformed
         if processed and stats.malformed / processed > MALFORMED_FRACTION_LIMIT:
             raise SchemaError(
@@ -228,6 +383,165 @@ def as_document(doc_id: str, stamp: Stamp, payload: Payload) -> Document:
         return Document(id=doc_id, timestamp=stamp.timestamp, text=payload)
     names, counts = payload
     return Document(id=doc_id, timestamp=stamp.timestamp, mentions=tuple(zip(names, counts)))
+
+
+class ListSink:
+    """A Sink that keeps ``convert(block)``'s items of every block in
+    .items; a shard's items travel pickled."""
+
+    def __init__(self, convert: Callable[[Block], Iterable]):
+        self.convert = convert
+        self.items: list = []
+
+    def add_block(self, block: Block) -> None:
+        self.items.extend(self.convert(block))
+
+    def shard(self) -> "ListSink":
+        return ListSink(self.convert)
+
+    def send(self, fh: BinaryIO) -> None:
+        import pickle
+        pickle.dump(self.items, fh, pickle.HIGHEST_PROTOCOL)
+
+    def receive(self, fh: BinaryIO) -> None:
+        import pickle
+        self.items += pickle.load(fh)
+
+
+def send_array(fh: BinaryIO, values: array) -> None:
+    """Write an array with its length."""
+    fh.write(len(values).to_bytes(8, "little"))
+    fh.write(values)
+
+
+def receive_array(fh: BinaryIO, into: array, convert: Callable[[bytes], bytes] | None = None) -> None:
+    """Append what send_array wrote to ``into`` a piece at a time, each
+    piece's bytes passed through ``convert`` if given, so the array is
+    never held whole a second time."""
+    left = int.from_bytes(_read_exactly(fh, 8), "little") * into.itemsize
+    while left:
+        piece = _read_exactly(fh, min(left, _READ_BYTES))
+        into.frombytes(convert(piece) if convert else piece)
+        left -= len(piece)
+
+
+def _read_exactly(fh: BinaryIO, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) < n:
+        raise EOFError(f"{n} bytes expected, {len(data)} read")
+    return data
+
+
+def _readers() -> int:
+    """How many processes may read one file: the CPUs this process may run
+    on, or 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
+    """The byte ranges a file is read in: one per _SHARD_MIN_BYTES of a
+    regular file, at most _readers(), each cut just after the first "\\n"
+    at or past an even share of the size; the last runs to the end."""
+    info = os.fstat(fh.fileno())
+    size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+    n = min(_readers(), size // _SHARD_MIN_BYTES)
+    cuts = [0]
+    for k in range(1, n):
+        fh.seek(k * size // n)
+        if fh.readline().endswith(b"\n") and cuts[-1] < fh.tell() < size:
+            cuts.append(fh.tell())
+    return list(zip(cuts, [*cuts[1:], None]))
+
+
+def _fork(work: Callable[[BinaryIO], None]) -> tuple[int, BinaryIO]:
+    """Run ``work`` on the write end of a pipe in a forked child, which
+    ends in os._exit whatever happens and so never returns into the
+    caller's frames; the child's pid and the read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                work(out)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``fh`` (the rest of it if None) in pieces
+    of about _READ_BYTES, each but the last ending just after a "\\n"."""
+    pending: list = []
+    while size is None or size > 0:
+        data = fh.read(_READ_BYTES if size is None else min(size, _READ_BYTES))
+        if not data:
+            break
+        if size is not None:
+            size -= len(data)
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            pending.append(memoryview(data)[:cut])
+            yield b"".join(pending)
+            pending = []
+        pending.append(memoryview(data)[cut:])
+    if rest := b"".join(pending):
+        yield rest
+
+
+def _count_lines(fh: BinaryIO, end: int) -> int:
+    """The number of lines in the first ``end`` bytes of ``fh``, which end
+    just after a newline."""
+    fh.seek(0)
+    return sum(piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
+               for piece in _pieces(fh, end))
+
+
+class _Undecodable:
+    """Stands for a line that is not valid UTF-8."""
+
+    def strip(self):
+        raise ValueError("invalid UTF-8")
+
+
+_UNDECODABLE = _Undecodable()
+
+
+def _decode(piece: bytes) -> tuple[list, bool]:
+    """The lines of a piece, split at LF, CRLF and CR as a text file's
+    universal newlines split them, and whether any may hold a ``\\ud``
+    escape.  A line that is not UTF-8 becomes _UNDECODABLE."""
+    try:
+        text = piece.decode("utf-8")
+    except UnicodeDecodeError:
+        return [_decode_line(line) for line in piece.splitlines()], True
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    # a backslash is found by memchr, a three-character string is not
+    return lines, "\\" in text and ("\\ud" in text or "\\uD" in text)
+
+
+def _decode_line(line: bytes) -> str | _Undecodable:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        return _UNDECODABLE
 
 
 def _file_digest(path: Path) -> str:
@@ -262,6 +576,21 @@ def _parse_json_line(line: str, schema: str, stamps: _Stamps) -> tuple[str, Stam
     if not isinstance(mentions, list):
         raise ValueError("mentions must be an array")
     return doc_id, stamp, mentions
+
+
+def _parse_escaped_json_line(line: str, schema: str, stamps: _Stamps) -> tuple[str, Stamp, str | list]:
+    """_parse_json_line for a line of a piece that holds a ``\\ud``
+    escape: if the line has one, a lone surrogate left in its id, text or
+    a mention name, which no UTF-8 output can hold, makes it malformed."""
+    doc_id, stamp, payload = record = _parse_json_line(line, schema, stamps)
+    if "\\ud" in line or "\\uD" in line:
+        strings = [payload] if isinstance(payload, str) else [
+            item[0] for item in payload if type(item) is list and item and type(item[0]) is str]
+        try:
+            "".join([doc_id, *strings]).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("string holds a lone surrogate (an unpaired \\ud800-\\udfff escape)") from None
+    return record
 
 
 def _flat_mentions(arrays: list[list]) -> tuple[list[str], list[int]] | None:

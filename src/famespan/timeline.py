@@ -10,12 +10,13 @@ computation.
 from __future__ import annotations
 
 import math
+import pickle
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus_io import MAX_COUNT, Block
+from .corpus_io import MAX_COUNT, Block, receive_array, send_array
 from .dates import Timestamp, epoch_us, from_epoch_us
 from .errors import DataError
 from .name_extract import Mention
@@ -83,7 +84,8 @@ class _Codes(dict):
 class MentionColumns:
     """Mentions in flat columns, added a document or a block at a time: an
     interned name code and a count per mention, an epoch-µs time per
-    document."""
+    document.  Name codes follow the names' first appearance.  As a
+    corpus_io.Sink, a byte range's columns are appended whole."""
 
     def __init__(self, mentions: Iterable[Mention] = ()):
         from array import array  # imported on use, so stats and report load less
@@ -112,6 +114,23 @@ class MentionColumns:
         self.count.fromlist(block.counts)
         self.doc_us.fromlist([stamp.us for stamp in block.stamps])
         self.doc_size.fromlist(block.sizes)
+
+    def shard(self) -> "MentionColumns":
+        return MentionColumns()
+
+    def send(self, fh: BinaryIO) -> None:
+        pickle.dump(list(self.codes), fh)
+        for column in (self.name_code, self.count, self.doc_us, self.doc_size):
+            send_array(fh, column)
+
+    def receive(self, fh: BinaryIO) -> None:
+        """Append a shard's columns, its name codes renumbered by one
+        lookup per distinct name and one gather per piece."""
+        names = pickle.load(fh)
+        recode = np.fromiter(map(self.codes.__getitem__, names), np.int32, len(names))
+        receive_array(fh, self.name_code, lambda piece: recode[np.frombuffer(piece, np.int32)].tobytes())
+        for column in (self.count, self.doc_us, self.doc_size):
+            receive_array(fh, column)
 
 
 def build_timelines(

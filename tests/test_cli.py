@@ -412,3 +412,58 @@ def test_subcommand_flag_sets_are_pinned():
         for name, p in subparsers.choices.items()
     }
     assert flags == EXPECTED_FLAGS
+
+
+def _daily_corpus(tmp_path, bad_lines: dict[int, bytes], schema: str = "pretagged"):
+    """90 daily documents mentioning Ada Lovelace, line i replaced by bad_lines[i]."""
+    rows = []
+    for i in range(90):
+        day = date.fromordinal(date(2005, 2, 1).toordinal() + i).isoformat()
+        payload = ({"text": "Mrs. Ada Lovelace spoke."} if schema == "raw"
+                   else {"mentions": [["Ada Lovelace", 2]]})
+        rows.append(bad_lines.get(i, json.dumps({"id": f"d{i}", "date": day, **payload}).encode()))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"\n".join(rows) + b"\n")
+    return corpus
+
+
+BAD_UTF8 = b'{"id": "d\xff", "date": "2005-03-01", "mentions": [["Ada Lovelace", 2]]}'
+
+
+@pytest.mark.parametrize("command", ["periods", "extract"])
+def test_invalid_utf8_is_a_malformed_line(tmp_path, capsys, command):
+    gaz = tmp_path / "gaz.txt"
+    gaz.write_text("Ada\n", encoding="utf-8")
+    schema = "raw" if command == "extract" else "pretagged"
+    if command == "extract":
+        args = ["extract", "--gazetteer", str(gaz), "--out", str(tmp_path / "tagged.jsonl")]
+    else:
+        args = ["periods", "--window", "2005-01", "2005-07", "--n-min", "5", "--seed", "1",
+                "--filters", "all", "--out-dir", str(tmp_path / "out")]
+    few = _daily_corpus(tmp_path, {3: BAD_UTF8, 40: b"\xc3(" + BAD_UTF8}, schema)
+    assert main([*args, "--input", str(few)]) == 0
+    if command == "extract":
+        assert "(2 malformed lines skipped)" in capsys.readouterr().out
+    many = _daily_corpus(tmp_path, {i: BAD_UTF8 for i in range(0, 90, 5)}, schema)
+    assert main([*args, "--input", str(many)]) == 3
+    err = capsys.readouterr().err
+    assert "18 of 90 lines malformed" in err
+    assert "corpus.jsonl:1: invalid UTF-8; corpus.jsonl:6: invalid UTF-8" in err
+
+
+@pytest.mark.parametrize("where", ["id", "name"])
+def test_lone_surrogate_escape_is_a_malformed_line(tmp_path, where):
+    # eight documents on consecutive days would make a period if read
+    def bad(i):
+        day = date.fromordinal(date(2005, 2, 1).toordinal() + i).isoformat()
+        doc_id, name = (f"d{i}\\ud800", "Ada Lovelace") if where == "id" else (f"x{i}", "Ada \\uDC00")
+        return f'{{"id": "{doc_id}", "date": "{day}", "mentions": [["{name}", 2]]}}'.encode()
+
+    pair = b'{"id": "y", "date": "2005-03-02", "mentions": [["\\ud83d\\ude00 Ada", 12]]}'
+    corpus = _daily_corpus(tmp_path, {**{i: bad(i) for i in range(5, 13)}, 40: pair})
+    out = tmp_path / "out"
+    assert main(["periods", "--input", str(corpus), "--window", "2005-01", "2005-07", "--n-min", "5",
+                 "--seed", "1", "--filters", "all", "--min-mentions", "1", "--out-dir", str(out)]) == 0
+    rows = (out / "periods_spike_all.csv").read_text(encoding="utf-8").splitlines()
+    names = {row.split(",")[0] for row in rows}
+    assert names == {"name", "Ada Lovelace", "\U0001F600 Ada"}  # a valid pair stays accepted

@@ -193,3 +193,23 @@ def test_full_line_accounting(tmp_path):
     assert stats.lines == len(lines)
     assert len(kept) + dropped + stats.malformed + stats.blank == stats.lines
     assert len(kept) == 10 and dropped == 1 and stats.malformed == 1 and stats.blank == 2
+
+
+def test_line_endings_and_decoding_faults(tmp_path):
+    # LF, CRLF and lone CR end lines as a text file's universal newlines do;
+    # a line that is not UTF-8 or holds a lone surrogate escape is malformed
+    good = [json.dumps({"id": f"d{i}", "date": "2001-05-02", "text": "x"}).encode() for i in range(30)]
+    lines = [*good[:10], b'{"id": "\xe9", "date": "2001-05-02", "text": "x"}', *good[10:20],
+             b'{"id": "s", "date": "2001-05-02", "text": "lone \\udfff"}',
+             b'{"id": "p", "date": "2001-05-02", "text": "pair \\ud83d\\ude00"}', *good[20:]]
+    f = tmp_path / "c.jsonl"
+    f.write_bytes(b"".join(line + (b"\n", b"\r\n", b"\r")[i % 3] for i, line in enumerate(lines)))
+    reader = read_documents(f, "raw")
+    docs = list(reader)
+    assert [d.id for d in docs] == [f"d{i}" for i in range(20)] + ["p"] + [f"d{i}" for i in range(20, 30)]
+    assert docs[20].text == "pair \U0001F600"
+    assert (reader.stats.lines, reader.stats.malformed) == (33, 2)
+    assert reader.stats.errors == [
+        "c.jsonl:11: invalid UTF-8",
+        "c.jsonl:22: string holds a lone surrogate (an unpaired \\ud800-\\udfff escape)",
+    ]

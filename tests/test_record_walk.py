@@ -82,21 +82,23 @@ def _columns(cols: MentionColumns):
 def _walk(paths):
     """cli.ingest with the pipeline's pre-tagged collector, recording the
     readers it opens; stops at the first SchemaError, as ingest does."""
-    cols, seen, readers, error = MentionColumns(), [], [], None
+    seen, readers, error = [], [], None
 
     def opened(path, schema):
         readers.append(read_documents(path, schema))
         return readers[-1]
 
-    def collect(block):
-        seen.extend((doc_id, stamp.month) for doc_id, stamp in zip(block.ids, block.stamps))
-        cols.add_block(block)
+    class Collect(MentionColumns):
+        def add_block(self, block):
+            seen.extend((doc_id, stamp.month) for doc_id, stamp in zip(block.ids, block.stamps))
+            super().add_block(block)
 
+    cols = Collect()
     keep_all = SamplerConfig(10**9, 1, "keep-all")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "read_documents", opened)
         try:
-            cli.ingest(paths, "pretagged", WINDOW, keep_all, collect)
+            cli.ingest(paths, "pretagged", WINDOW, keep_all, cols)
         except SchemaError as exc:
             error = str(exc)
     return _columns(cols), seen, [vars(r.stats) for r in readers], error

@@ -60,8 +60,15 @@ def test_extract_imports_no_numpy(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["mentions"] == [["Ada Lovelace", 1]]
 
 
+def test_cli_import_loads_no_shard_machinery():
+    # pickle and signal serve only inputs read in shards
+    loaded = _python("import sys\nimport famespan.cli\n"
+                     "print(sorted({'numpy', 'pickle', 'signal'} & set(sys.modules)))\n")
+    assert loaded.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("call", [
-    "cli.ingest([path], 'pretagged', cfg.window, SamplerConfig(1, 3), lambda block: None)",
+    "cli.ingest([path], 'pretagged', cfg.window, SamplerConfig(1, 3), ListSink(lambda block: ()))",
     "cli.build_pipeline_timelines(cfg, [path])",
 ], ids=["ingest", "build_pipeline_timelines"])
 def test_stage_entry_points_load_the_stages(tmp_path, call):
@@ -73,7 +80,7 @@ def test_stage_entry_points_load_the_stages(tmp_path, call):
         "import sys\n"
         "from datetime import date\n"
         "from famespan import cli\n"
-        "from famespan.corpus_io import AnalysisWindow\n"
+        "from famespan.corpus_io import AnalysisWindow, ListSink\n"
         "from famespan.sampler import SamplerConfig\n"
         "path = sys.argv[1]\n"
         "cfg = cli.RunConfig(AnalysisWindow(date(2005, 1, 1), date(2005, 2, 1)), n_min=1, seed=3)\n"
