@@ -22,20 +22,16 @@ lines in the window become a Block of columns; records() flattens blocks
 into ``(id, Stamp, payload)``, the payload being a raw line's text or the
 (names, counts) lists of a pre-tagged one, and iteration gives Documents.
 
-Lines end in LF, CRLF or CR.  Bytes are decoded a piece of about
-_READ_BYTES at a time; a piece that is not valid UTF-8 is split into
-lines again, and each line that does not decode is malformed.  A JSON
-string escape that leaves a lone surrogate in an id, a text or a name
-makes its line malformed too; only pieces holding a ``\\ud`` escape pay
-for that check.
+Lines end in LF, CRLF or CR.  Bytes are decoded _READ_BYTES at a time; a
+line that is not UTF-8, or whose JSON leaves a lone surrogate in its id,
+text or a name, is malformed.
 
 DocumentReader.read() feeds a whole file to a Sink.  A file of at least
-2 * _SHARD_MIN_BYTES is cut, each cut just after a newline byte, into up
-to one byte range per CPU the process may run on.  Forked children read
-every range but the first into sinks of their own and send them back
-over a pipe; the parent reads the first range, then appends the
-children's sinks in file order, so the sink, the ReadStats and every
-error text are those of a read in one process.
+2 * _SHARD_MIN_BYTES is cut after newline bytes into up to one byte range
+per usable CPU.  Forked children read every range but the first into
+sinks of their own and send them back over pipes; the parent reads the
+first range, then appends the children's sinks in file order, so sinks,
+ReadStats and error texts are those of a read in one process.
 
 Malformed lines are counted and skipped; if more than 10% of non-blank
 lines are malformed the reader raises SchemaError at end of stream,
@@ -50,6 +46,7 @@ import hashlib
 import json
 import os
 import stat
+import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import partial
@@ -213,8 +210,8 @@ Tally = tuple[ReadStats, list[tuple[int, str]]]
 
 
 class DocumentReader:
-    """One input file: iterable in-process, or read() into a Sink; exposes
-    .stats once the whole file has been read."""
+    """One input file, iterated in this process or read() into a Sink;
+    .stats is complete once the whole file has been read."""
 
     def __init__(self, path: str | Path, schema: str):
         if schema not in SCHEMAS:
@@ -224,21 +221,13 @@ class DocumentReader:
         self.stats = ReadStats()
 
     def __iter__(self) -> Iterator[Document]:
-        return starmap(as_document, self.records())
+        """The Document of each well-formed line, read in this process."""
+        return starmap(as_document, chain.from_iterable(map(Block.records, self._blocks())))
 
-    def records(self, window: AnalysisWindow | None = None) -> Iterator[Record]:
-        """The (id, Stamp, payload) of each well-formed line in ``window``,
-        in file order."""
-        return chain.from_iterable(map(Block.records, self.blocks(window)))
-
-    def blocks(self, window: AnalysisWindow | None = None) -> Iterator[Block]:
-        """The well-formed lines in ``window``, in file order, read in this
-        process, one Block per _BLOCK_LINES input lines that has any.  Lines
-        outside the window are validated and counted all the same."""
-        with open(self.path, "rb") as fh:
-            tsv_ids = self._tsv_ids(fh)
+    def _blocks(self) -> Iterator[Block]:
         tally: Tally = (ReadStats(), [])
-        yield from self._range_blocks(window, tsv_ids, 0, None, tally)
+        with open(self.path, "rb") as fh:
+            yield from self._range_blocks(fh, None, None, 0, None, tally)
         self._finish([tally])
 
     def read(self, sink: Sink, window: AnalysisWindow | None = None) -> None:
@@ -246,87 +235,95 @@ class DocumentReader:
         the module notes): the parent reads the first byte range while
         forked children read the others.  A child's error is raised as
         it was raised there, that of the earliest range first, and every
-        child is reaped before this returns or raises."""
-        with open(self.path, "rb") as fh:
-            tsv_ids = self._tsv_ids(fh)
-            ranges = _byte_ranges(fh)
+        child is reaped before this returns or raises.  The file is opened
+        once here, so a pipe is read once."""
         children: list[tuple[int, BinaryIO]] = []
-        try:
-            for start, end in ranges[1:]:
-                children.append(_fork(partial(self._send_range, sink, window, tsv_ids, start, end)))
-            tallies: list[Tally] = [(ReadStats(), [])]
-            for block in self._range_blocks(window, tsv_ids, *ranges[0], tallies[0]):
-                sink.add_block(block)
-            for (pid, pipe), (start, end) in zip(children, ranges[1:]):
-                tallies.append(self._receive_range(sink, pipe, start, end))
-        except BaseException:
-            from signal import SIGKILL
-            for pid, _ in children:
-                os.kill(pid, SIGKILL)
-            raise
-        finally:
-            for pid, pipe in children:
-                pipe.close()
-                os.waitpid(pid, 0)
+        with open(self.path, "rb") as fh:
+            ranges = _byte_ranges(fh)
+            tsv_ids = self._tsv_ids() if len(ranges) > 1 else None
+            try:
+                for start, end in ranges[1:]:
+                    children.append(_fork(partial(self._send_range, sink, window, tsv_ids, start, end)))
+                tallies: list[Tally] = [(ReadStats(), [])]
+                for block in self._range_blocks(fh, window, tsv_ids, *ranges[0], tallies[0]):
+                    sink.add_block(block)
+                for (pid, pipe), (start, end) in zip(children, ranges[1:]):
+                    tallies.append(self._receive_range(sink, pipe, start, end))
+            except BaseException:
+                from signal import SIGKILL
+                for pid, _ in children:
+                    os.kill(pid, SIGKILL)
+                raise
+            finally:
+                for pid, pipe in children:
+                    pipe.close()
+                    os.waitpid(pid, 0)
         self._finish(tallies)
 
-    def _tsv_ids(self, fh: BinaryIO) -> str:
-        """The id prefix of a TSV file, "" for JSON lines: a pre-tagged file
-        is TSV unless its first character past white space (and past a
-        byte-order mark, which would otherwise sniff a JSON-lines file as
-        TSV) is "{"."""
-        if self.schema != "pretagged":
-            return ""
-        decoder = codecs.getincrementaldecoder("utf-8-sig")("replace")
-        while piece := fh.read(1 << 16):
-            if text := decoder.decode(piece).lstrip():
-                return "" if text.startswith("{") else f"tsv:{_file_digest(self.path)[:16]}:"
+    def _tsv_ids(self) -> str:
+        """The _sniff of a regular file, read ahead of its byte ranges."""
+        with open(self.path, "rb") as fh:
+            for lines, _ in _decoded_pieces(fh, 0, None):
+                if (tsv_ids := self._sniff(lines)) is not None:
+                    return tsv_ids
         return ""
 
-    def _range_blocks(self, window: AnalysisWindow | None, tsv_ids: str, start: int,
-                      end: int | None, tally: Tally) -> Iterator[Block]:
-        """The Blocks of the lines in bytes [start, end) of the file (to its
-        end if ``end`` is None), which begin just after a newline.  Lines
-        are numbered from 1 in ``tally``'s first 10 errors; TSV ids count
-        the lines before ``start`` too."""
+    def _sniff(self, lines: list) -> str | None:
+        """The id prefix of a TSV file, "" for JSON lines, None while every
+        line is blank: a pre-tagged file is TSV unless its first non-blank
+        line starts with "{"."""
+        if self.schema != "pretagged":
+            return ""
+        for line in lines:
+            if text := (line.text if isinstance(line, _Undecodable) else line).strip():
+                return "" if text.startswith("{") else f"tsv:{_file_digest(self.path)[:16]}:"
+        return None
+
+    def _range_blocks(self, fh: BinaryIO, window: AnalysisWindow | None, tsv_ids: str | None,
+                      start: int, end: int | None, tally: Tally) -> Iterator[Block]:
+        """The Blocks of the lines in bytes [start, end) of the file open as
+        ``fh`` (to its end if ``end`` is None), which begin just after a
+        newline.  Lines are numbered from 1 in ``tally``'s first 10 errors;
+        TSV ids count the lines before ``start`` too.  With ``tsv_ids``
+        None, the first range sniffs it from its own lines."""
         stats, errors = tally
         schema = self.schema
         stamps = _Stamps(window)
-        with open(self.path, "rb") as fh:
+        before = 0
+        if start:
             before = _count_lines(fh, start) if tsv_ids else 0
             fh.seek(start)
-            if start == 0 and fh.read(3) != codecs.BOM_UTF8:
-                fh.seek(0)
-            lineno = 1
-            for piece in _pieces(fh, None if end is None else end - fh.tell()):
-                lines, escapes = _decode(piece)
-                parse_json = _parse_escaped_json_line if escapes else _parse_json_line
-                numbered = enumerate(lines, start=lineno)
-                lineno += len(lines)
-                while chunk := list(islice(numbered, _BLOCK_LINES)):
-                    records, linenos, failed = [], [], []
-                    for n, line in chunk:
-                        try:
-                            stripped = line.strip()  # raises for a line that is not UTF-8
-                            if not stripped:
-                                stats.blank += 1
-                                continue
-                            if tsv_ids:
-                                records.append(_parse_tsv_line(stripped, f"{tsv_ids}{before + n}", stamps))
-                            else:
-                                records.append(parse_json(stripped, schema, stamps))
-                            linenos.append(n)
-                        except (ValueError, KeyError, TypeError) as exc:
-                            failed.append((n, exc))
-                    block = _block(records, linenos, failed, schema)
-                    stats.lines += len(chunk)
-                    stats.malformed += len(failed)
-                    stats.documents = stats.lines - stats.blank - stats.malformed
-                    errors += [(n, str(exc)) for n, exc in failed[:10 - len(errors)]]
-                    if block:
-                        yield block
+        lineno = 1
+        for lines, escapes in _decoded_pieces(fh, start, end):
+            if tsv_ids is None:
+                tsv_ids = self._sniff(lines)
+            parse_json = _parse_escaped_json_line if escapes else _parse_json_line
+            numbered = enumerate(lines, start=lineno)
+            lineno += len(lines)
+            while chunk := list(islice(numbered, _BLOCK_LINES)):
+                records, linenos, failed = [], [], []
+                for n, line in chunk:
+                    try:
+                        stripped = line.strip()  # raises for a line that is not UTF-8
+                        if not stripped:
+                            stats.blank += 1
+                            continue
+                        if tsv_ids:
+                            records.append(_parse_tsv_line(stripped, f"{tsv_ids}{before + n}", stamps))
+                        else:
+                            records.append(parse_json(stripped, schema, stamps))
+                        linenos.append(n)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        failed.append((n, exc))
+                block = _block(records, linenos, failed, schema)
+                stats.lines += len(chunk)
+                stats.malformed += len(failed)
+                stats.documents = stats.lines - stats.blank - stats.malformed
+                errors += [(n, str(exc)) for n, exc in failed[:10 - len(errors)]]
+                if block:
+                    yield block
 
-    def _send_range(self, sink: Sink, window: AnalysisWindow | None, tsv_ids: str, start: int,
+    def _send_range(self, sink: Sink, window: AnalysisWindow | None, tsv_ids: str | None, start: int,
                     end: int | None, out: BinaryIO) -> None:
         """In a forked child: read one byte range into a shard of ``sink``
         and write (None, its Tally) and the shard to ``out``, or (the
@@ -334,8 +331,9 @@ class DocumentReader:
         import pickle
         shard, tally = sink.shard(), (ReadStats(), [])
         try:
-            for block in self._range_blocks(window, tsv_ids, start, end, tally):
-                shard.add_block(block)
+            with open(self.path, "rb") as fh:
+                for block in self._range_blocks(fh, window, tsv_ids, start, end, tally):
+                    shard.add_block(block)
         except Exception as exc:
             pickle.dump((exc, None), out)
             return
@@ -434,8 +432,9 @@ def _read_exactly(fh: BinaryIO, n: int) -> bytes:
 
 def _readers() -> int:
     """How many processes may read one file: the CPUs this process may run
-    on, or 1 where os.fork is missing."""
-    if not hasattr(os, "fork"):
+    on, or 1 where os.fork is missing or another thread runs, whose locks
+    a forked child would inherit in whatever state they are."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -455,6 +454,8 @@ def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
         fh.seek(k * size // n)
         if fh.readline().endswith(b"\n") and cuts[-1] < fh.tell() < size:
             cuts.append(fh.tell())
+    if n > 1:
+        fh.seek(0)
     return list(zip(cuts, [*cuts[1:], None]))
 
 
@@ -502,6 +503,13 @@ def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
         yield rest
 
 
+def _decoded_pieces(fh: BinaryIO, start: int, end: int | None) -> Iterator[tuple[list, bool]]:
+    """The _decode of each piece of bytes [start, end) of ``fh``, which is
+    at ``start``; a byte-order mark at the start of the file is dropped."""
+    for k, piece in enumerate(_pieces(fh, None if end is None else end - start)):
+        yield _decode(piece.removeprefix(codecs.BOM_UTF8) if k == 0 and start == 0 else piece)
+
+
 def _count_lines(fh: BinaryIO, end: int) -> int:
     """The number of lines in the first ``end`` bytes of ``fh``, which end
     just after a newline."""
@@ -511,19 +519,20 @@ def _count_lines(fh: BinaryIO, end: int) -> int:
 
 
 class _Undecodable:
-    """Stands for a line that is not valid UTF-8."""
+    """Stands for a line that is not valid UTF-8: stripping it raises, and
+    .text is its decoding with replacement characters."""
+
+    def __init__(self, line: bytes):
+        self.text = line.decode("utf-8", "replace")
 
     def strip(self):
         raise ValueError("invalid UTF-8")
 
 
-_UNDECODABLE = _Undecodable()
-
-
 def _decode(piece: bytes) -> tuple[list, bool]:
     """The lines of a piece, split at LF, CRLF and CR as a text file's
     universal newlines split them, and whether any may hold a ``\\ud``
-    escape.  A line that is not UTF-8 becomes _UNDECODABLE."""
+    escape.  A line that is not UTF-8 becomes an _Undecodable."""
     try:
         text = piece.decode("utf-8")
     except UnicodeDecodeError:
@@ -541,7 +550,7 @@ def _decode_line(line: bytes) -> str | _Undecodable:
     try:
         return line.decode("utf-8")
     except UnicodeDecodeError:
-        return _UNDECODABLE
+        return _Undecodable(line)
 
 
 def _file_digest(path: Path) -> str:

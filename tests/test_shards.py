@@ -11,6 +11,7 @@ import io
 import json
 import os
 import shutil
+import threading
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -298,3 +299,35 @@ def test_too_many_malformed_lines_sharded(tmp_path):
         assert str(sharded.value) == str(serial.value)
     assert _open_fds() == before
     assert "corpus.jsonl:1: " in str(serial.value) and "corpus.jsonl:8: " in str(serial.value)
+
+
+def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus_io, "_SHARD_MIN_BYTES", 1)
+    forked = []
+    monkeypatch.setattr(corpus_io, "_fork", forked.append)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        sink = ListSink(_ids)
+        read_documents(_corpus(tmp_path), "pretagged").read(sink)
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive() and not forked and len(sink.items) == 90
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_named_pipe_is_read_once(tmp_path):
+    # a pipe can be opened and read only once: no sniff ahead, no byte ranges
+    data = b"\xef\xbb\xbf" + _corpus(tmp_path).read_bytes()
+    fifo = tmp_path / "pipe.jsonl"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    sink = ListSink(_ids)
+    reader = read_documents(fifo, "pretagged")
+    with shards(3):
+        reader.read(sink)
+    writer.join(10)
+    assert sink.items == [f"d{i:02d}" for i in range(90)] and reader.stats.lines == 90
