@@ -432,8 +432,8 @@ def _read_exactly(fh: BinaryIO, n: int) -> bytes:
 
 def _readers() -> int:
     """How many processes may read one file: the CPUs this process may run
-    on, or 1 where os.fork is missing or another thread runs, whose locks
-    a forked child would inherit in whatever state they are."""
+    on, or 1 where os.fork is missing or another Python thread runs, whose
+    locks a forked child would inherit in whatever state they are."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
