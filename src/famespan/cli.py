@@ -91,6 +91,24 @@ _PERIODS_FILE_LABEL = {
 
 _WORD_LISTS = ("gazetteer", "honorifics", "stoplist")
 
+# (setting, test, what it must be) of the values the statistics and the name
+# filters reject, checked before any input is read
+_RANGES = (
+    ("reps", lambda v: v >= 1, "at least 1"),
+    ("level", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("tail_quantile", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ("width", lambda v: v >= 1, "at least 1"),
+    ("top_fraction", lambda v: v > 0, "above 0"),
+)
+
+
+def _check_ranges(settings: dict) -> None:
+    """ConfigError for the first of ``settings`` (a RunConfig's fields or
+    parsed arguments) that is out of its range; absent ones pass."""
+    for name, test, wanted in _RANGES:
+        if name in settings and not test(settings[name]):
+            raise ConfigError(f"--{name.replace('_', '-')} must be {wanted}, got {settings[name]}")
+
 
 @dataclass
 class RunConfig:
@@ -128,6 +146,7 @@ class RunConfig:
         if not widths or widths[0] < 1:
             raise ConfigError("cohort widths must be positive month counts")
         self.cohort_widths = widths
+        _check_ranges(vars(self))
 
     def recognizer(self) -> RecognizerConfig | None:
         if self.gazetteer is None:
@@ -214,16 +233,21 @@ class _Keyed:
 
 
 def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_cfg: SamplerConfig,
-           collect: Sink, report_path: Path | None = None) -> np.ndarray:
+           collect: Sink, report_path: Path | None = None,
+           digests: dict[str, str] | None = None) -> np.ndarray:
     """The one pass over the inputs: ``collect`` takes each Block of
     windowed documents in input order, and the returned mask says which of
     those documents the keyed sampler keeps; the sampling report is
     written from it.  Large inputs are read on every usable CPU
-    (DocumentReader.read)."""
+    (DocumentReader.read).  The sha256 of an input read from a pipe goes
+    into ``digests``, by path."""
     _load_stages()
     keyed = _Keyed(keep_scorer(sampler_cfg.seed), collect)
     for path in inputs:
-        read_documents(path, schema).read(keyed, window)
+        reader = read_documents(path, schema)
+        reader.read(keyed, window)
+        if reader.digest is not None and digests is not None:
+            digests[str(path)] = reader.digest
     volumes, keep, kept_counts = sample_columns(keyed.months, keyed.scores, sampler_cfg)
     if report_path is not None:
         write_sampling_report(volumes, kept_counts, report_path)
@@ -231,21 +255,23 @@ def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_
 
 
 def build_pipeline_timelines(
-    cfg: RunConfig, inputs: Sequence[Path], report_path: Path | None = None
+    cfg: RunConfig, inputs: Sequence[Path], report_path: Path | None = None,
+    digests: dict[str, str] | None = None,
 ) -> dict[str, Timeline]:
     """Ingest, then cut the kept documents' mentions into timelines.  Raw
     documents wait for the sampler, so only kept ones meet the recognizer;
-    pre-tagged mentions go straight into columns."""
+    pre-tagged mentions go straight into columns.  ``digests`` is
+    ingest's."""
     _load_stages()
     recognizer = cfg.recognizer()
     sampler_cfg = SamplerConfig(cfg.n_min, cfg.seed, cfg.underfull_policy)
     if cfg.schema == "raw":
         docs = ListSink(lambda block: starmap(as_document, block.records()))
-        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, docs, report_path)
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, docs, report_path, digests)
         timelines = build_timelines(m for d in compress(docs.items, keep) for m in mentions_of(d, recognizer))
     else:
         cols = MentionColumns()
-        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, cols, report_path)
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, cols, report_path, digests)
         timelines = build_timelines(cols, keep)
     if not timelines:
         raise DataError("no mentions found inside the analysis window")
@@ -364,7 +390,8 @@ def _stats_artifacts(
 def run_pipeline(cfg: RunConfig, inputs: Sequence[Path], out_dir: Path) -> list[Path]:
     """End-to-end run; returns the artifact paths (removed again on error)."""
     with _ArtifactDir(Path(out_dir)) as art:
-        timelines = build_pipeline_timelines(cfg, inputs, art.path("sampling_report.csv"))
+        digests: dict[str, str] = {}
+        timelines = build_pipeline_timelines(cfg, inputs, art.path("sampling_report.csv"), digests)
         summary_rows = []
         for method, filter_name, periods in fame_periods(cfg, timelines, art):
             stats = _stats_artifacts(
@@ -377,6 +404,7 @@ def run_pipeline(cfg: RunConfig, inputs: Sequence[Path], out_dir: Path) -> list[
             cfg.as_manifest_dict(),
             [*inputs, *cfg.recognizer_files().values()],
             art.path("manifest.json"),
+            digests,
         )
     return art.created
 
@@ -551,6 +579,7 @@ def _load_labelled_periods(path: Path) -> tuple[str, str, list[FamePeriod]]:
 
 def _cmd_stats(args) -> int:
     widths = _parse_widths(args.widths)
+    _check_ranges(vars(args))
     with _ArtifactDir(Path(args.out_dir)) as art:
         for path in args.periods:
             method, filter_name, periods = _load_labelled_periods(Path(path))
@@ -560,6 +589,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_ranges(vars(args))
     with _ArtifactDir(Path(args.out_dir)) as art:
         summary_rows = []
         for path in args.periods:
@@ -595,7 +625,8 @@ in an id, text or name, is malformed):
   pretagged corpus  JSONL: {"id": str, "date": ISO-8601, "mentions": [[name, count], ...]}
                     (1 <= count < 2**63)
                     or TSV: date<TAB>name<TAB>count (one mention per line; the id
-                    of line n is tsv:<first 16 hex of the file's sha256>:<n>)
+                    of line n is tsv:<first 16 hex of the file's sha256>:<n>,
+                    so a TSV input must be a regular file, not a pipe)
   periods CSV       name,method,start,end,peak_date,duration_days
                     (ISO dates; fractional durations carry 3 decimals)
   series CSV        bucket_start,width,n,p50,p90,p99[,p50_lo,p50_hi,...]
@@ -603,7 +634,8 @@ in an id, text or name, is malformed):
   fits JSON         {cohort label: {alpha,d_min,n_tail,lo,hi,reps,seed}}
   summary CSV/text  method,filtering,period,p50 (lo..hi),p90 (lo..hi),p99 (lo..hi),alpha (lo..hi)
   sampling report   month,n_t,kept
-  manifest JSON     config + sha256 of every input (corpus and word lists)
+  manifest JSON     config + sha256 of every input (corpus and word lists; of
+                    the bytes read, for a corpus read from a pipe)
 timestamps: exactly YYYY-MM-DD or YYYY-MM-DDTHH:MM[:SS[.ffffff]], the latter
   optionally with Z or +-HH:MM (converted to naive UTC); other forms are malformed
 """

@@ -28,10 +28,12 @@ text or a name, is malformed.
 
 DocumentReader.read() feeds a whole file to a Sink.  A file of at least
 2 * _SHARD_MIN_BYTES is cut after newline bytes into up to one byte range
-per usable CPU.  Forked children read every range but the first into
-sinks of their own and send them back over pipes; the parent reads the
-first range, then appends the children's sinks in file order, so sinks,
-ReadStats and error texts are those of a read in one process.
+per usable CPU.  Forked children (forks.Children) read every range but
+the first into sinks of their own and send them back over pipes; the
+parent reads the first range, then appends the children's sinks in file
+order, so sinks, ReadStats and error texts are those of a read in one
+process.  A file that is not regular (a pipe) is one range, read and
+hashed in the process.
 
 Malformed lines are counted and skipped; if more than 10% of non-blank
 lines are malformed the reader raises SchemaError at end of stream,
@@ -46,7 +48,6 @@ import hashlib
 import json
 import os
 import stat
-import threading
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import partial
@@ -56,13 +57,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, Union
 
 from .dates import Timestamp, epoch_us, iso, month_index, parse_timestamp
-from .errors import SchemaError
+from .errors import DataError, SchemaError
 
 if TYPE_CHECKING:
     from array import array
 
-# pickle and signal serve only files read in shards, so they are imported
-# on use and a launch that reads no large file does not load them
+# pickle serves only files read in shards, so it is imported on use and a
+# launch that reads no large file does not load it
 
 MALFORMED_FRACTION_LIMIT = 0.10
 
@@ -219,6 +220,9 @@ class DocumentReader:
         self.path = Path(path)
         self.schema = schema
         self.stats = ReadStats()
+        # the sha256 of the bytes read() read from a file that is not
+        # regular (a pipe), which cannot be read again to hash it
+        self.digest: str | None = None
 
     def __iter__(self) -> Iterator[Document]:
         """The Document of each well-formed line, read in this process."""
@@ -232,33 +236,41 @@ class DocumentReader:
 
     def read(self, sink: Sink, window: AnalysisWindow | None = None) -> None:
         """Feed the Blocks of the whole file to ``sink`` in file order (see
-        the module notes): the parent reads the first byte range while
-        forked children read the others.  A child's error is raised as
-        it was raised there, that of the earliest range first, and every
-        child is reaped before this returns or raises.  The file is opened
-        once here, so a pipe is read once."""
-        children: list[tuple[int, BinaryIO]] = []
+        the module notes).  The file is opened once here, so a pipe is read
+        once, and hashed as it is read."""
         with open(self.path, "rb") as fh:
             ranges = _byte_ranges(fh)
-            tsv_ids = self._tsv_ids() if len(ranges) > 1 else None
-            try:
-                for start, end in ranges[1:]:
-                    children.append(_fork(partial(self._send_range, sink, window, tsv_ids, start, end)))
-                tallies: list[Tally] = [(ReadStats(), [])]
-                for block in self._range_blocks(fh, window, tsv_ids, *ranges[0], tallies[0]):
+            if len(ranges) > 1:
+                tallies = self._read_shards(fh, ranges, sink, window)
+            else:
+                source = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else _Hashed(fh)
+                tallies = [(ReadStats(), [])]
+                for block in self._range_blocks(source, window, None, 0, None, tallies[0]):
                     sink.add_block(block)
-                for (pid, pipe), (start, end) in zip(children, ranges[1:]):
-                    tallies.append(self._receive_range(sink, pipe, start, end))
-            except BaseException:
-                from signal import SIGKILL
-                for pid, _ in children:
-                    os.kill(pid, SIGKILL)
-                raise
-            finally:
-                for pid, pipe in children:
-                    pipe.close()
-                    os.waitpid(pid, 0)
+                self.digest = None if source is fh else source.sha256.hexdigest()
         self._finish(tallies)
+
+    def _read_shards(self, fh: BinaryIO, ranges: list[tuple[int, int | None]], sink: Sink,
+                     window: AnalysisWindow | None) -> list[Tally]:
+        """read() of a file cut into byte ranges: the parent reads the first
+        while forked children read the others; their Tallies.  A child's
+        error is raised as it was raised there, that of the earliest range
+        first, and every child is reaped before this returns or raises."""
+        from .forks import Children, result
+        tsv_ids = self._tsv_ids()
+        tallies: list[Tally] = [(ReadStats(), [])]
+        with Children() as children:
+            pipes = []
+            for start, end in ranges[1:]:
+                shard = sink.shard()
+                pipes.append(children.fork(partial(self._read_range, shard, window, tsv_ids, start, end),
+                                           shard.send))
+            for block in self._range_blocks(fh, window, tsv_ids, *ranges[0], tallies[0]):
+                sink.add_block(block)
+            for pipe, (start, end) in zip(pipes, ranges[1:]):
+                what = f"{self.path}: the reader of bytes {start} to {end or 'the end'}"
+                tallies.append(result(pipe, what, sink.receive))
+        return tallies
 
     def _tsv_ids(self) -> str:
         """The _sniff of a regular file, read ahead of its byte ranges."""
@@ -276,7 +288,12 @@ class DocumentReader:
             return ""
         for line in lines:
             if text := (line.text if isinstance(line, _Undecodable) else line).strip():
-                return "" if text.startswith("{") else f"tsv:{_file_digest(self.path)[:16]}:"
+                if text.startswith("{"):
+                    return ""
+                if not stat.S_ISREG(os.stat(self.path).st_mode):
+                    raise DataError(f"{self.path}: a TSV input must be a regular file, "
+                                    "since its ids carry the file's sha256")
+                return f"tsv:{_file_digest(self.path)[:16]}:"
         return None
 
     def _range_blocks(self, fh: BinaryIO, window: AnalysisWindow | None, tsv_ids: str | None,
@@ -323,35 +340,14 @@ class DocumentReader:
                 if block:
                     yield block
 
-    def _send_range(self, sink: Sink, window: AnalysisWindow | None, tsv_ids: str | None, start: int,
-                    end: int | None, out: BinaryIO) -> None:
-        """In a forked child: read one byte range into a shard of ``sink``
-        and write (None, its Tally) and the shard to ``out``, or (the
-        error, None)."""
-        import pickle
-        shard, tally = sink.shard(), (ReadStats(), [])
-        try:
-            with open(self.path, "rb") as fh:
-                for block in self._range_blocks(fh, window, tsv_ids, start, end, tally):
-                    shard.add_block(block)
-        except Exception as exc:
-            pickle.dump((exc, None), out)
-            return
-        pickle.dump((None, tally), out)
-        shard.send(out)
-
-    def _receive_range(self, sink: Sink, pipe: BinaryIO, start: int, end: int | None) -> Tally:
-        """Append what _send_range wrote to ``sink``; its Tally."""
-        import pickle
-        try:
-            error, tally = pickle.load(pipe)
-            if error is None:
-                sink.receive(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(f"{self.path}: the reader of bytes {start} to {end or 'the end'} "
-                                    "ended without a result") from None
-        if error is not None:
-            raise error
+    def _read_range(self, shard: Sink, window: AnalysisWindow | None, tsv_ids: str | None, start: int,
+                    end: int | None) -> Tally:
+        """In a forked child: read bytes [start, end) into ``shard``; their
+        Tally."""
+        tally: Tally = (ReadStats(), [])
+        with open(self.path, "rb") as fh:
+            for block in self._range_blocks(fh, window, tsv_ids, start, end, tally):
+                shard.add_block(block)
         return tally
 
     def _finish(self, tallies: list[Tally]) -> None:
@@ -430,25 +426,17 @@ def _read_exactly(fh: BinaryIO, n: int) -> bytes:
     return data
 
 
-def _readers() -> int:
-    """How many processes may read one file: the CPUs this process may run
-    on, or 1 where os.fork is missing or another Python thread runs, whose
-    locks a forked child would inherit in whatever state they are."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
     """The byte ranges a file is read in: one per _SHARD_MIN_BYTES of a
-    regular file, at most _readers(), each cut just after the first "\\n"
-    at or past an even share of the size; the last runs to the end."""
+    regular file, at most forks.usable_cpus(), each cut just after the
+    first "\\n" at or past an even share of the size; the last runs to the
+    end."""
     info = os.fstat(fh.fileno())
     size = info.st_size if stat.S_ISREG(info.st_mode) else 0
-    n = min(_readers(), size // _SHARD_MIN_BYTES)
+    n = size // _SHARD_MIN_BYTES
+    if n > 1:
+        from . import forks
+        n = min(forks.usable_cpus(), n)
     cuts = [0]
     for k in range(1, n):
         fh.seek(k * size // n)
@@ -457,30 +445,6 @@ def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
     if n > 1:
         fh.seek(0)
     return list(zip(cuts, [*cuts[1:], None]))
-
-
-def _fork(work: Callable[[BinaryIO], None]) -> tuple[int, BinaryIO]:
-    """Run ``work`` on the write end of a pipe in a forked child, which
-    ends in os._exit whatever happens and so never returns into the
-    caller's frames; the child's pid and the read end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                work(out)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
 
 
 def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
@@ -551,6 +515,18 @@ def _decode_line(line: bytes) -> str | _Undecodable:
         return line.decode("utf-8")
     except UnicodeDecodeError:
         return _Undecodable(line)
+
+
+class _Hashed:
+    """A file that is only read(), hashed as it is read."""
+
+    def __init__(self, fh: BinaryIO):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def read(self, n: int) -> bytes:
+        data = self.fh.read(n)
+        self.sha256.update(data)
+        return data
 
 
 def _file_digest(path: Path) -> str:

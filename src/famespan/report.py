@@ -270,12 +270,15 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(config: dict, input_paths: Iterable[str | Path], path: str | Path) -> None:
+def write_manifest(config: dict, input_paths: Iterable[str | Path], path: str | Path,
+                   digests: dict[str, str] | None = None) -> None:
     """Record configuration, seed, and input digests; no timestamps, so
-    identical runs produce identical manifests."""
+    identical runs produce identical manifests.  An input in ``digests``
+    (one read from a pipe, by path) is not read again."""
+    digests = digests or {}
     manifest = {
         "config": config,
-        "inputs": {str(p): sha256_file(p) for p in sorted(map(str, input_paths))},
+        "inputs": {p: digests.get(p) or sha256_file(p) for p in sorted(map(str, input_paths))},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

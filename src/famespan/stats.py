@@ -21,6 +21,13 @@ Conventions used throughout:
   of a table cell on the same sorted resamples, and a statistic that fails
   too often reports its own UnstableStatistic without costing the others
   their intervals.
+* A cell of at least _FORK_MIN_ELEMENTS index elements (reps * n) is
+  shared out over the usable CPUs (forks.usable_cpus): its resamples are
+  cut on batch boundaries into one contiguous range per CPU, the process
+  evaluates the first range while forked children (forks.Children)
+  evaluate the others and send back each statistic's replicate values and
+  ok-flags, and these are joined in resample order.  Every replicate and
+  interval is therefore that of a one-process run.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import partial
 from hashlib import blake2b
 from typing import Iterable, Sequence
 
@@ -222,6 +230,12 @@ _S27, _S30, _S31, _S32 = (np.uint64(k) for k in (27, 30, 31, 32))
 # is 32 bytes per element, 2 MiB here, so a batch fits a 2 MiB per-core L2
 # cache and a fresh process does not fault a new array in for every pass.
 _BATCH_ELEMENTS = 1 << 16
+# A cell of at least this many index elements (reps * n) has its resamples
+# shared out over the usable CPUs (_rep_ranges).  At about 20 ns an element
+# a cell this size is about 21 ms of work, and on two vCPUs the fork, the
+# child's start, the pipe and the reap cost about what the second CPU saves
+# (21.5 -> 22.2 ms at n=150); a 25,000-rep cell at n=150 went 86 -> 58 ms.
+_FORK_MIN_ELEMENTS = 1 << 20
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -309,23 +323,67 @@ def _resample_indices(seed: int, rep: int, n: int) -> np.ndarray:
     return _resample_rows(seed, rep, 1, n)[0]
 
 
+def _batch_reps(reps: int, n: int) -> int:
+    """Resamples per batch of a cell of ``reps`` resamples of n values."""
+    return max(1, min(reps, _BATCH_ELEMENTS // n))
+
+
 def _bootstrap_replicates(
-    arr: np.ndarray, statistics: Sequence[Statistic], reps: int, seed: int
+    arr: np.ndarray, statistics: Sequence[Statistic], reps: int, seed: int, first: int = 0
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Evaluate each statistic on every resample, in batches of at most
-    _BATCH_ELEMENTS indices hashed into one working set per cell."""
+    """Evaluate each statistic on resamples first .. first+reps-1, in
+    batches of at most _BATCH_ELEMENTS indices hashed into one working set
+    per cell."""
     n = arr.size
-    batch = max(1, min(reps, _BATCH_ELEMENTS // n))
+    batch = _batch_reps(reps, n)
     work = np.empty((3, batch * n), dtype=np.uint64)
     pieces: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {s.name: [] for s in statistics}
-    for first in range(0, reps, batch):
-        rows = arr[_resample_rows(seed, first, min(batch, reps - first), n, work)]
+    for start in range(first, first + reps, batch):
+        rows = arr[_resample_rows(seed, start, min(batch, first + reps - start), n, work)]
         rows.sort(axis=1)
         for stat in statistics:
             pieces[stat.name].append(stat.on_sorted_rows(rows))
     return {
         name: (np.concatenate([v for v, _ in parts]), np.concatenate([ok for _, ok in parts]))
         for name, parts in pieces.items()
+    }
+
+
+def _rep_ranges(reps: int, n: int) -> list[tuple[int, int]]:
+    """The (first, count) resample ranges of a cell: one per usable CPU
+    once the cell holds _FORK_MIN_ELEMENTS index elements, else one.  Cuts
+    fall on batch boundaries, so every range hashes and sorts the batches
+    a one-range run would."""
+    batch = _batch_reps(reps, n)
+    batches = -(-reps // batch)
+    parts = 1
+    if reps * n >= _FORK_MIN_ELEMENTS:
+        from . import forks
+        parts = min(forks.usable_cpus(), batches)
+    cuts = [k * batches // parts * batch for k in range(parts)] + [reps]
+    return [(start, end - start) for start, end in zip(cuts, cuts[1:])]
+
+
+def _shared_replicates(
+    arr: np.ndarray, statistics: Sequence[Statistic], reps: int, seed: int
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """_bootstrap_replicates of a whole cell, its resample ranges but the
+    first evaluated by forked children (forks.Children) and joined in
+    resample order."""
+    (_, count), *others = _rep_ranges(reps, arr.size)
+    if not others:
+        return _bootstrap_replicates(arr, statistics, reps, seed)
+    from .forks import Children, result
+    with Children() as children:
+        pipes = [children.fork(partial(_bootstrap_replicates, arr, statistics, k, seed, first))
+                 for first, k in others]
+        parts = [_bootstrap_replicates(arr, statistics, count, seed)]
+        parts += [result(pipe, f"the bootstrap of resamples {first} to {first + k - 1}")
+                  for pipe, (first, k) in zip(pipes, others)]
+    return {
+        name: (np.concatenate([part[name][0] for part in parts]),
+               np.concatenate([part[name][1] for part in parts]))
+        for name in parts[0]
     }
 
 
@@ -374,7 +432,7 @@ def bootstrap_many(
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     points = {s.name: s.compute(arr) for s in statistics}
-    replicates = _bootstrap_replicates(arr, statistics, reps, seed)
+    replicates = _shared_replicates(arr, statistics, reps, seed)
     out: dict[str, BootstrapInterval | UnstableStatistic] = {}
     for stat in statistics:
         vals, ok = replicates[stat.name]

@@ -1,6 +1,12 @@
 import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +290,100 @@ def test_custom_cohort_widths(tmp_path, corpus_path):
 def test_config_error_exit_code(tmp_path, corpus_path):
     code = run_to(corpus_path, tmp_path / "x", extra=["--filters", "bogus"])
     assert code == 2
+
+
+BAD_SETTINGS = [("--reps", "0"), ("--reps", "-3"), ("--level", "1.5"), ("--level", "0"), ("--level", "1"),
+                ("--level", "nan"), ("--tail-quantile", "0"), ("--tail-quantile", "1.01"),
+                ("--width", "0"), ("--top-fraction", "0"), ("--top-fraction", "-1/1000")]
+SETTING_COMMANDS = {"--reps": ("stats", "report", "run"), "--level": ("stats", "report", "run"),
+                    "--tail-quantile": ("stats", "report", "run"), "--width": ("report",),
+                    "--top-fraction": ("periods", "run")}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for flag, value in BAD_SETTINGS for command in SETTING_COMMANDS[flag]])
+def test_out_of_range_settings_are_config_errors_before_any_read(tmp_path, capsys, command, flag, value):
+    # the inputs do not exist: reading them would be a data error, exit 3
+    out = tmp_path / "out"
+    if command in ("stats", "report"):
+        inputs = ["--periods", str(tmp_path / "periods_spike_all.csv"), "--seed", "1"]
+    else:
+        inputs = ["--input", str(tmp_path / "missing.jsonl"), "--window", "2005-01", "2005-07",
+                  "--n-min", "5", "--seed", "1"]
+    assert main([command, *inputs, f"{flag}={value}", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"famespan: error: {flag} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_setting_at_its_range_end_is_accepted(tmp_path, corpus_path):
+    assert run_to(corpus_path, tmp_path / "out", extra=["--reps", "1", "--tail-quantile", "1",
+                                                         "--top-fraction", "1/1000000"]) == 0
+
+
+def _cli_on_fifo(tmp_path: Path, data: bytes, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, under a timeout, with FIFO in
+    ``argv`` replaced by a named pipe that a thread writes ``data`` to."""
+    fifo = tmp_path / "corpus.pipe"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the CLI stopped reading
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+    try:
+        return subprocess.run([sys.executable, "-m", "famespan.cli",
+                               *[str(fifo) if a == "FIFO" else a for a in argv]],
+                              env=env, capture_output=True, text=True, timeout=120)
+    finally:
+        # a writer still waiting for a reader gets one and finishes
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join(10)
+        os.close(reader)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_tsv_from_a_pipe_is_a_data_error(tmp_path):
+    # TSV ids carry the file's sha256: a pipe cannot be read a second time for it
+    data = "".join(f"2005-02-{1 + i % 28:02d}\tAda Lovelace\t2\n" for i in range(60)).encode()
+    out = tmp_path / "sampled.jsonl"
+    proc = _cli_on_fifo(tmp_path, data, ["sample", "--input", "FIFO", "--window", "2005-01", "2005-07",
+                                         "--n-min", "5", "--seed", "1", "--out", str(out)])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"famespan: error: {tmp_path / 'corpus.pipe'}: a TSV input must be a regular "
+                           "file, since its ids carry the file's sha256\n")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_manifest_digest_of_a_corpus_read_from_a_pipe(tmp_path, corpus_path):
+    data = corpus_path.read_bytes()
+    assert len(data) > 1 << 16  # more than a pipe holds
+    args = [*RUN_ARGS, "--filters", "all"]
+    assert main(["run", "--input", str(corpus_path), *args, "--out-dir", str(tmp_path / "file")]) == 0
+    proc = _cli_on_fifo(tmp_path, data, ["run", "--input", "FIFO", *args, "--out-dir", str(tmp_path / "pipe")])
+    assert proc.returncode == 0, proc.stderr
+
+    def artifacts(name: str) -> dict:
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+    from_file, from_pipe = artifacts("file"), artifacts("pipe")
+    file_manifest = json.loads(from_file.pop("manifest.json"))
+    pipe_manifest = json.loads(from_pipe.pop("manifest.json"))
+    assert from_pipe == from_file and len(from_file) > 5
+    assert pipe_manifest["config"] == file_manifest["config"]
+    digest = hashlib.sha256(data).hexdigest()
+    assert file_manifest["inputs"] == {str(corpus_path): digest}
+    assert pipe_manifest["inputs"] == {str(tmp_path / "corpus.pipe"): digest}
 
 
 def test_data_error_exit_code(tmp_path):

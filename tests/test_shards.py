@@ -1,7 +1,7 @@
 """Reading a file in forked byte-range shards changes nothing.
 
 Shards are forced by lowering corpus_io._SHARD_MIN_BYTES to one byte and
-by fixing the number of usable CPUs that corpus_io._readers() reports;
+by fixing the number of usable CPUs that forks.usable_cpus() reports;
 every artifact, stdout, stderr and ReadStats of 2 and 3 shards must equal
 those of one.  The hygiene tests check that every child is reaped and
 every pipe closed when a child or the parent fails.
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from famespan import cli, corpus_io
+from famespan import cli, corpus_io, forks
 from famespan.cli import main
 from famespan.corpus_io import ListSink, read_documents
 from famespan.errors import SchemaError
@@ -35,7 +35,7 @@ def shards(n: int):
     """Cut every file into n byte ranges (fewer if it has fewer lines)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(corpus_io, "_SHARD_MIN_BYTES", 1)
-        mp.setattr(corpus_io, "_readers", lambda: n)
+        mp.setattr(forks, "usable_cpus", lambda: n)
         yield
 
 
@@ -304,7 +304,12 @@ def test_too_many_malformed_lines_sharded(tmp_path):
 def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
     monkeypatch.setattr(corpus_io, "_SHARD_MIN_BYTES", 1)
     forked = []
-    monkeypatch.setattr(corpus_io, "_fork", forked.append)
+
+    def fork():
+        forked.append(1)
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", fork)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()

@@ -61,9 +61,10 @@ def test_extract_imports_no_numpy(tmp_path):
 
 
 def test_cli_import_loads_no_shard_machinery():
-    # pickle and signal serve only inputs read in shards
+    # the fork helper, pickle and signal serve only inputs read in shards and
+    # bootstrap cells shared out over CPUs
     loaded = _python("import sys\nimport famespan.cli\n"
-                     "print(sorted({'numpy', 'pickle', 'signal'} & set(sys.modules)))\n")
+                     "print(sorted({'numpy', 'pickle', 'signal', 'famespan.forks'} & set(sys.modules)))\n")
     assert loaded.splitlines()[-1] == "[]"
 
 
