@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from fractions import Fraction
-from itertools import compress, starmap
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
@@ -37,8 +37,6 @@ from .corpus_io import (
     Block,
     ListSink,
     Sink,
-    as_document,
-    document_to_json,
     read_documents,
     receive_array,
     record_json,
@@ -47,7 +45,7 @@ from .corpus_io import (
 )
 from .dates import parse_month
 from .errors import ConfigError, DataError, EmptyCohort, FamespanError
-from .name_extract import RecognizerConfig, load_recognizer, mentions_of, phrase_counts
+from .name_extract import RecognizerConfig, load_recognizer, phrase_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,14 +89,17 @@ _PERIODS_FILE_LABEL = {
 
 _WORD_LISTS = ("gazetteer", "honorifics", "stoplist")
 
-# (setting, test, what it must be) of the values the statistics and the name
-# filters reject, checked before any input is read
+# (setting, test, what it must be) of the values the statistics, the name
+# filters and the period filter reject, checked before any input is read
 _RANGES = (
     ("reps", lambda v: v >= 1, "at least 1"),
     ("level", lambda v: 0 < v < 1, "in (0, 1)"),
     ("tail_quantile", lambda v: 0 < v <= 1, "in (0, 1]"),
     ("width", lambda v: v >= 1, "at least 1"),
     ("top_fraction", lambda v: v > 0, "above 0"),
+    ("top_k", lambda v: v >= 1, "at least 1"),
+    ("min_mentions", lambda v: v >= 1, "at least 1"),
+    ("min_duration", lambda v: v >= 0, "at least 0"),
 )
 
 
@@ -148,10 +149,11 @@ class RunConfig:
         self.cohort_widths = widths
         _check_ranges(vars(self))
 
-    def recognizer(self) -> RecognizerConfig | None:
+    def recognizer(self, digests: dict[str, str] | None = None) -> RecognizerConfig | None:
+        """The recognizer of the word lists given; ``digests`` is load_wordlist's."""
         if self.gazetteer is None:
             return None
-        return load_recognizer(self.gazetteer, self.honorifics, self.stoplist)
+        return load_recognizer(self.gazetteer, self.honorifics, self.stoplist, digests)
 
     def recognizer_files(self) -> dict[str, Path]:
         """The recognizer's word-list files that were given, by setting name."""
@@ -258,19 +260,22 @@ def build_pipeline_timelines(
     cfg: RunConfig, inputs: Sequence[Path], report_path: Path | None = None,
     digests: dict[str, str] | None = None,
 ) -> dict[str, Timeline]:
-    """Ingest, then cut the kept documents' mentions into timelines.  Raw
-    documents wait for the sampler, so only kept ones meet the recognizer;
-    pre-tagged mentions go straight into columns.  ``digests`` is
-    ingest's."""
+    """Ingest, then cut the kept documents' mentions into timelines.
+    Pre-tagged mentions go straight into columns.  A raw line's time and
+    text wait for the sampler, so only kept texts meet the recognizer,
+    whose phrase counts then go into columns.  ``digests`` gets the sha256
+    of each word list and of each input read from a pipe, by path."""
     _load_stages()
-    recognizer = cfg.recognizer()
+    recognizer = cfg.recognizer(digests)
     sampler_cfg = SamplerConfig(cfg.n_min, cfg.seed, cfg.underfull_policy)
+    cols = MentionColumns()
     if cfg.schema == "raw":
-        docs = ListSink(lambda block: starmap(as_document, block.records()))
-        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, docs, report_path, digests)
-        timelines = build_timelines(m for d in compress(docs.items, keep) for m in mentions_of(d, recognizer))
+        texts = ListSink(lambda block: zip([stamp.us for stamp in block.stamps], block.texts))
+        keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, texts, report_path, digests)
+        for us, text in compress(texts.items, keep):
+            cols.add(us, phrase_counts(text, recognizer).items())
+        timelines = build_timelines(cols)
     else:
-        cols = MentionColumns()
         keep = ingest(inputs, cfg.schema, cfg.window, sampler_cfg, cols, report_path, digests)
         timelines = build_timelines(cols, keep)
     if not timelines:
@@ -511,12 +516,12 @@ def _build_run_config(args) -> RunConfig:
 
 def _cmd_synth(args) -> int:
     # imported on use: the generator and the reference oracles serve no other subcommand
-    from .synth import generate_corpus, load_synth_spec
+    from .synth import document_to_json, generate_corpus, load_synth_spec
 
     spec = load_synth_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    n = write_documents(generate_corpus(spec), args.out)
+    n = write_documents(map(document_to_json, generate_corpus(spec)), args.out)
     print(f"wrote {n} documents to {args.out}")
     return 0
 
@@ -541,7 +546,9 @@ def _cmd_sample(args) -> int:
     with _Outputs() as outputs:
         out = outputs.track(args.out)
         report = outputs.track(args.report) if args.report else None
-        lines = ListSink(lambda block: map(document_to_json, starmap(as_document, block.records())))
+        lines = ListSink(lambda block: [
+            record_json(doc_id, stamp.timestamp, payload if isinstance(payload, str) else zip(*payload))
+            for doc_id, stamp, payload in block.records()])
         keep = ingest(args.input, args.schema, window, sampler_cfg, lines, report)
         n = write_documents(compress(lines.items, keep), out)
     print(f"kept {n} documents -> {args.out}")

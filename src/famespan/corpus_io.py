@@ -18,9 +18,9 @@ block that fails is validated again line by line, so each bad line gets
 its own error.  Blocks stay small so that their decoded containers stay
 under the garbage collector's generation-0 threshold (700), whose
 collections would otherwise walk them again and again.  The well-formed
-lines in the window become a Block of columns; records() flattens blocks
-into ``(id, Stamp, payload)``, the payload being a raw line's text or the
-(names, counts) lists of a pre-tagged one, and iteration gives Documents.
+lines in the window become a Block of columns; records() flattens a
+block into ``(id, Stamp, payload)``, the payload being a raw line's text or
+the (names, counts) lists of a pre-tagged one.
 
 Lines end in LF, CRLF or CR.  Bytes are decoded _READ_BYTES at a time; a
 line that is not UTF-8, or whose JSON leaves a lone surrogate in its id,
@@ -51,7 +51,7 @@ import stat
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import partial
-from itertools import accumulate, chain, islice, starmap
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, Union
@@ -89,20 +89,6 @@ SCHEMAS = ("raw", "pretagged")
 
 # Mention counts are held as int64 (timeline.MentionColumns).
 MAX_COUNT = 2**63 - 1
-
-
-@dataclass(frozen=True)
-class Document:
-    """One dated corpus item, carrying either raw text or extracted mentions."""
-
-    id: str
-    timestamp: Timestamp
-    text: str | None = None
-    mentions: tuple[tuple[str, int], ...] | None = None
-
-    def __post_init__(self):
-        if (self.text is None) == (self.mentions is None):
-            raise ValueError(f"document {self.id!r}: exactly one of text/mentions required")
 
 
 @dataclass(frozen=True)
@@ -211,8 +197,8 @@ Tally = tuple[ReadStats, list[tuple[int, str]]]
 
 
 class DocumentReader:
-    """One input file, iterated in this process or read() into a Sink;
-    .stats is complete once the whole file has been read."""
+    """One input file, read() into a Sink; .stats is complete once the
+    whole file has been read."""
 
     def __init__(self, path: str | Path, schema: str):
         if schema not in SCHEMAS:
@@ -223,16 +209,6 @@ class DocumentReader:
         # the sha256 of the bytes read() read from a file that is not
         # regular (a pipe), which cannot be read again to hash it
         self.digest: str | None = None
-
-    def __iter__(self) -> Iterator[Document]:
-        """The Document of each well-formed line, read in this process."""
-        return starmap(as_document, chain.from_iterable(map(Block.records, self._blocks())))
-
-    def _blocks(self) -> Iterator[Block]:
-        tally: Tally = (ReadStats(), [])
-        with open(self.path, "rb") as fh:
-            yield from self._range_blocks(fh, None, None, 0, None, tally)
-        self._finish([tally])
 
     def read(self, sink: Sink, window: AnalysisWindow | None = None) -> None:
         """Feed the Blocks of the whole file to ``sink`` in file order (see
@@ -369,14 +345,6 @@ class DocumentReader:
                 f"(>{MALFORMED_FRACTION_LIMIT:.0%}); wrong --schema? "
                 f"first errors: {'; '.join(stats.errors[:3])}"
             )
-
-
-def as_document(doc_id: str, stamp: Stamp, payload: Payload) -> Document:
-    """The Document of one record."""
-    if isinstance(payload, str):
-        return Document(id=doc_id, timestamp=stamp.timestamp, text=payload)
-    names, counts = payload
-    return Document(id=doc_id, timestamp=stamp.timestamp, mentions=tuple(zip(names, counts)))
 
 
 class ListSink:
@@ -647,24 +615,19 @@ def _parse_tsv_line(line: str, doc_id: str, stamps: _Stamps) -> Record:
 
 
 def read_documents(path: str | Path, schema: str) -> DocumentReader:
-    """Stream Documents from a line-oriented file in the declared schema."""
+    """The reader of a line-oriented file in the declared schema."""
     return DocumentReader(path, schema)
 
 
-def write_documents(docs: Iterable[Document | str], path: str | Path) -> int:
-    """Write documents as JSON lines; returns the number written.  A str
-    is a line document_to_json already made."""
+def write_documents(lines: Iterable[str], path: str | Path) -> int:
+    """Write record_json lines; returns the number written."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(doc if isinstance(doc, str) else document_to_json(doc))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
             n += 1
     return n
-
-
-def document_to_json(doc: Document) -> str:
-    return record_json(doc.id, doc.timestamp, doc.text if doc.text is not None else doc.mentions)
 
 
 def record_json(doc_id: str, timestamp: Timestamp, payload: str | Iterable[tuple[str, int]]) -> str:
@@ -676,10 +639,3 @@ def record_json(doc_id: str, timestamp: Timestamp, payload: str | Iterable[tuple
     else:
         rec["mentions"] = [[name, count] for name, count in payload]
     return json.dumps(rec, ensure_ascii=False, separators=(",", ":"))
-
-
-def window_filter(docs: Iterable[Document], window: AnalysisWindow) -> Iterator[Document]:
-    """Yield exactly the documents whose timestamp falls in the window."""
-    for doc in docs:
-        if window.contains(doc.timestamp):
-            yield doc

@@ -67,10 +67,6 @@ def iso(ts: Timestamp) -> str:
     return ts.isoformat()
 
 
-def month_of(ts: Timestamp) -> tuple[int, int]:
-    return (ts.year, ts.month)
-
-
 def month_start(year: int, month: int) -> date:
     return date(year, month, 1)
 

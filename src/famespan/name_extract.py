@@ -10,13 +10,13 @@ by supplying pre-tagged documents; downstream measurements only see
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus_io import Document
 from .dates import Timestamp
 from .errors import ConfigError
 
@@ -88,47 +88,34 @@ def _candidate_pattern(honorific_cores: frozenset[str]) -> str:
     return rf"[^{skipped}\W\d_](?<![^\W\d_].){_TOKEN_TAIL}"
 
 
-def load_wordlist(path: str | Path) -> frozenset[str]:
+def load_wordlist(path: str | Path, digests: dict[str, str] | None = None) -> frozenset[str]:
     """One entry per line, UTF-8 (a byte-order mark is dropped); blank
-    lines ignored."""
-    entries = set()
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line in fh:
-            word = line.strip()
-            if word:
-                entries.add(word)
-    return frozenset(entries)
+    lines ignored.  The sha256 of the bytes read goes into ``digests``, by
+    path, so a list read from a pipe gets the digest of what was read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    return frozenset(word for line in text.split("\n") if (word := line.strip()))
 
 
 def load_recognizer(
-    gazetteer: str | Path, honorifics: str | Path | None = None, stoplist: str | Path | None = None
+    gazetteer: str | Path, honorifics: str | Path | None = None, stoplist: str | Path | None = None,
+    digests: dict[str, str] | None = None,
 ) -> RecognizerConfig:
-    """Recognizer from word-list files; built-in defaults for the lists not given."""
+    """Recognizer from word-list files; built-in defaults for the lists not
+    given.  ``digests`` is load_wordlist's."""
     return RecognizerConfig(
-        given_name_gazetteer=load_wordlist(gazetteer),
-        honorifics=load_wordlist(honorifics) if honorifics else DEFAULT_HONORIFICS,
-        stop_capitalized=load_wordlist(stoplist) if stoplist else DEFAULT_STOP_CAPITALIZED,
+        given_name_gazetteer=load_wordlist(gazetteer, digests),
+        honorifics=load_wordlist(honorifics, digests) if honorifics else DEFAULT_HONORIFICS,
+        stop_capitalized=load_wordlist(stoplist, digests) if stoplist else DEFAULT_STOP_CAPITALIZED,
     )
-
-
-def extract_mentions(doc: Document, cfg: RecognizerConfig) -> list[Mention]:
-    """Extract accepted capitalized phrases from the document body.
-
-    Returns one Mention per distinct accepted name, count = number of
-    occurrences, ordered by first occurrence.  Deterministic in
-    (text, cfg).
-    """
-    if doc.text is None:
-        raise ValueError(f"document {doc.id!r} has no text; use mentions_of for dispatch")
-    counts: dict[str, int] = {}
-    for phrase in _accepted_phrases(doc.text, cfg):
-        counts[phrase] = counts.get(phrase, 0) + 1
-    return [Mention(name, doc.timestamp, n) for name, n in counts.items()]
 
 
 def phrase_counts(text: str, cfg: RecognizerConfig) -> Counter[str]:
     """Each accepted phrase of ``text`` and its number of occurrences, in
-    order of first occurrence, as extract_mentions counts them."""
+    order of first occurrence.  Deterministic in (text, cfg)."""
     return Counter(_accepted_phrases(text, cfg))
 
 
@@ -196,12 +183,3 @@ def _resolve_run(run: list[str], honorific_before: bool, cfg: RecognizerConfig):
             continue
         yield " ".join(run[i:i + accepted])
         i += accepted
-
-
-def mentions_of(doc: Document, cfg: RecognizerConfig | None = None) -> list[Mention]:
-    """Recognizer dispatch: extract from raw text, pass through pre-tagged."""
-    if doc.mentions is not None:
-        return [Mention(name, doc.timestamp, count) for name, count in doc.mentions]
-    if cfg is None:
-        raise ConfigError("raw documents need a recognizer config (gazetteer)")
-    return extract_mentions(doc, cfg)

@@ -12,17 +12,15 @@ sufficiently full month is n_min.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import UNDERFULL_POLICIES
-from .corpus_io import Document
-from .dates import month_from_index, month_of
+from .dates import month_from_index
 from .errors import ConfigError, UnderfullMonth
 
 
@@ -52,14 +50,9 @@ class SamplerConfig:
             )
 
 
-def month_volumes(docs: Iterable[Document]) -> list[MonthVolume]:
-    """Exact per-month document counts, sorted by month."""
-    return [MonthVolume(*kv) for kv in sorted(Counter(month_of(d.timestamp) for d in docs).items())]
-
-
 def keep_scorer(seed: int) -> Callable[[str], float]:
-    """keep_score with the seed bound; the keyed hash is set up once and
-    copied for each id."""
+    """The deterministic uniform score in [0, 1) of each document id under
+    ``seed``; the keyed hash is set up once and copied for each id."""
     keyed = blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
 
     def score(doc_id: str) -> float:
@@ -67,11 +60,6 @@ def keep_scorer(seed: int) -> Callable[[str], float]:
         h.update(doc_id.encode("utf-8"))
         return int.from_bytes(h.digest(), "little") / 2**64
     return score
-
-
-def keep_score(seed: int, doc_id: str) -> float:
-    """Deterministic uniform score in [0, 1) for one (seed, id) pair."""
-    return keep_scorer(seed)(doc_id)
 
 
 def keep_probabilities(volumes: list[MonthVolume], cfg: SamplerConfig) -> dict[tuple[int, int], float]:
@@ -86,33 +74,12 @@ def keep_probabilities(volumes: list[MonthVolume], cfg: SamplerConfig) -> dict[t
             for vol in volumes}
 
 
-def sample_uniform(
-    docs: Iterable[Document],
-    volumes: list[MonthVolume],
-    cfg: SamplerConfig,
-    kept_counts: dict[tuple[int, int], int] | None = None,
-) -> Iterator[Document]:
-    """Keep each document in month t with probability min(1, n_min/n_t).
-
-    ``volumes`` must cover every month present in ``docs``.  Pass a dict
-    as ``kept_counts`` to collect per-month kept totals for the sampling
-    report.
-    """
-    probs = keep_probabilities(volumes, cfg)
-    for doc in docs:
-        month = month_of(doc.timestamp)
-        p = probs[month]
-        if p >= 1.0 or (p > 0.0 and keep_score(cfg.seed, doc.id) < p):
-            if kept_counts is not None:
-                kept_counts[month] = kept_counts.get(month, 0) + 1
-            yield doc
-
-
 def sample_columns(
     months: Sequence[int], scores: Sequence[float], cfg: SamplerConfig
 ) -> tuple[list[MonthVolume], np.ndarray, dict[tuple[int, int], int]]:
-    """sample_uniform over columns of month indices and keep_scores: the
-    month volumes, the keep mask and the kept count of each month."""
+    """The keyed sampler over columns of month indices and keep scores
+    (keep_scorer): the month volumes, the mask that keeps each document
+    with its month's probability, and the kept count of each month."""
     month_ids, inverse, n_t = np.unique(np.asarray(months), return_inverse=True, return_counts=True)
     volumes = [MonthVolume(month_from_index(m), n) for m, n in zip(month_ids.tolist(), n_t.tolist())]
     probs = keep_probabilities(volumes, cfg)

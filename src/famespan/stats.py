@@ -318,11 +318,6 @@ def _resample_rows(
     return _bounded(_mix64(words, tmp), n, high, tmp)
 
 
-def _resample_indices(seed: int, rep: int, n: int) -> np.ndarray:
-    """The n indices of resample ``rep`` on its own (the single-row reference)."""
-    return _resample_rows(seed, rep, 1, n)[0]
-
-
 def _batch_reps(reps: int, n: int) -> int:
     """Resamples per batch of a cell of ``reps`` resamples of n values."""
     return max(1, min(reps, _BATCH_ELEMENTS // n))

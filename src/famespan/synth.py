@@ -13,21 +13,24 @@ scans (interval-membership week counting, enumeration of event ranges)
 so the production detectors can be checked field-for-field against an
 independent search structure.  oracle_phrases walks every token of a raw
 text, which the recognizer's candidate scan must match phrase for phrase.
+window_filter, month_volumes and sample_uniform are the ingest stages one
+Document at a time, which the program runs over columns instead.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus_io import AnalysisWindow, Document
-from .dates import US_PER_DAY, from_epoch_us, parse_month, parse_timestamp
+from .corpus_io import AnalysisWindow, record_json
+from .dates import US_PER_DAY, Timestamp, from_epoch_us, parse_month, parse_timestamp
 from .errors import ConfigError
 from .name_extract import RecognizerConfig, _resolve_run
 from .peaks import (
@@ -37,8 +40,27 @@ from .peaks import (
     FamePeriod,
     WeekGrid,
 )
+from .sampler import MonthVolume, SamplerConfig, keep_probabilities, keep_scorer
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+@dataclass(frozen=True)
+class Document:
+    """One dated corpus item, carrying either raw text or extracted mentions."""
+
+    id: str
+    timestamp: Timestamp
+    text: str | None = None
+    mentions: tuple[tuple[str, int], ...] | None = None
+
+    def __post_init__(self):
+        if (self.text is None) == (self.mentions is None):
+            raise ValueError(f"document {self.id!r}: exactly one of text/mentions required")
+
+
+def document_to_json(doc: Document) -> str:
+    return record_json(doc.id, doc.timestamp, doc.text if doc.text is not None else doc.mentions)
 
 
 @dataclass(frozen=True)
@@ -234,6 +256,42 @@ def _parse_volume(raw: dict, window: AnalysisWindow) -> VolumeSchedule:
             )
         )
     raise ValueError("volume needs monthly_total, monthly_totals, or per_day")
+
+
+def window_filter(docs: Iterable[Document], window: AnalysisWindow) -> Iterator[Document]:
+    """Yield exactly the documents whose timestamp falls in the window."""
+    for doc in docs:
+        if window.contains(doc.timestamp):
+            yield doc
+
+
+def month_volumes(docs: Iterable[Document]) -> list[MonthVolume]:
+    """Exact per-month document counts, sorted by month."""
+    months = Counter((d.timestamp.year, d.timestamp.month) for d in docs)
+    return [MonthVolume(*kv) for kv in sorted(months.items())]
+
+
+def sample_uniform(
+    docs: Iterable[Document],
+    volumes: list[MonthVolume],
+    cfg: SamplerConfig,
+    kept_counts: dict[tuple[int, int], int] | None = None,
+) -> Iterator[Document]:
+    """Keep each document in month t with probability min(1, n_min/n_t).
+
+    ``volumes`` must cover every month present in ``docs``.  Pass a dict
+    as ``kept_counts`` to collect per-month kept totals for the sampling
+    report.
+    """
+    probs = keep_probabilities(volumes, cfg)
+    score = keep_scorer(cfg.seed)
+    for doc in docs:
+        month = doc.timestamp.year, doc.timestamp.month
+        p = probs[month]
+        if p >= 1.0 or (p > 0.0 and score(doc.id) < p):
+            if kept_counts is not None:
+                kept_counts[month] = kept_counts.get(month, 0) + 1
+            yield doc
 
 
 def oracle_spike(t, grid: WeekGrid) -> FamePeriod:

@@ -17,7 +17,7 @@ from typing import BinaryIO, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus_io import MAX_COUNT, Block, receive_array, send_array
-from .dates import Timestamp, epoch_us, from_epoch_us
+from .dates import Timestamp, epoch_us
 from .errors import DataError
 from .name_extract import Mention
 
@@ -51,9 +51,6 @@ class Timeline:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def timestamps(self) -> list[Timestamp]:
-        return [from_epoch_us(int(us)) for us in self.times_us]
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,15 +10,17 @@ underlying statistical claim holds with large margin.
 import functools
 import time
 from datetime import date, timedelta
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from famespan.cli import main
-from famespan.corpus_io import AnalysisWindow, Document, write_documents
+from famespan.corpus_io import AnalysisWindow, write_documents
+from famespan.dates import month_index
 from famespan.fixtures import fixture_timeline
-from famespan.name_extract import Mention, mentions_of
+from famespan.name_extract import Mention
 from famespan.peaks import (
     METHOD_SPIKE,
     FamePeriod,
@@ -27,7 +29,7 @@ from famespan.peaks import (
     period_filter,
     spike_period,
 )
-from famespan.sampler import SamplerConfig, month_volumes, sample_uniform
+from famespan.sampler import SamplerConfig, keep_scorer, sample_columns
 from famespan.stats import (
     QuantileStatistic,
     bootstrap,
@@ -36,9 +38,11 @@ from famespan.stats import (
     quantile,
 )
 from famespan.synth import (
+    Document,
     NameProfile,
     SynthSpec,
     VolumeSchedule,
+    document_to_json,
     generate_corpus,
     oracle_continuity,
     oracle_spike,
@@ -200,12 +204,19 @@ def _volume_profiles():
     return tuple(profiles)
 
 
+def _sample(docs, cfg):
+    """The documents the program's sampler (sample_columns) keeps, in input order."""
+    months = [month_index(d.timestamp.year, d.timestamp.month) for d in docs]
+    scores = list(map(keep_scorer(cfg.seed), (d.id for d in docs)))
+    _, keep, _ = sample_columns(months, scores, cfg)
+    return list(compress(docs, keep))
+
+
 def _volume_durations(docs, trial, sample):
     if sample:
-        volumes = month_volumes(docs)
         cfg = SamplerConfig(V_NMIN, derive_seed(909090, "sampler", trial), "drop-month")
-        docs = list(sample_uniform(docs, volumes, cfg))
-    timelines = build_timelines(m for d in docs for m in mentions_of(d))
+        docs = _sample(docs, cfg)
+    timelines = build_timelines(Mention(name, d.timestamp, count) for d in docs for name, count in d.mentions)
     kept = basic_name_filter(timelines, 10)
     periods = [continuity_period(t) for t in kept.values()]
     periods = period_filter(periods, V_WINDOW, 2.0)
@@ -252,20 +263,19 @@ def test_sampler_distribution_and_determinism(tmp_path):
         Document(id=f"doc{i}", timestamp=date(1950, 6, 1 + i % 28), text="x")
         for i in range(10000)
     ]
-    volumes = month_volumes(docs)
     cfg = SamplerConfig(n_min=5000, seed=321)
-    kept = list(sample_uniform(docs, volumes, cfg))
+    kept = _sample(docs, cfg)
     sigma = (10000 * 0.25) ** 0.5
     assert abs(len(kept) - 5000) <= 3 * sigma
 
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_documents(sample_uniform(docs, volumes, cfg), out1)
-    write_documents(sample_uniform(docs, volumes, cfg), out2)
+    write_documents(map(document_to_json, _sample(docs, cfg)), out1)
+    write_documents(map(document_to_json, _sample(docs, cfg)), out2)
     assert out1.read_bytes() == out2.read_bytes()
 
     rng = np.random.default_rng(0)
     shuffled = [docs[i] for i in rng.permutation(len(docs))]
-    assert {d.id for d in sample_uniform(shuffled, volumes, cfg)} == {d.id for d in kept}
+    assert {d.id for d in _sample(shuffled, cfg)} == {d.id for d in kept}
 
 
 # -- 7 ----------------------------------------------------------------------
@@ -336,7 +346,7 @@ def _report_corpus(tmp_path: Path) -> Path:
     volume = VolumeSchedule.from_monthly_totals({(2005, m): 400 for m in range(1, 11)})
     docs = generate_corpus(SynthSpec(tuple(profiles), volume, window, seed=11))
     path = tmp_path / "corpus.jsonl"
-    write_documents(docs, path)
+    write_documents(map(document_to_json, docs), path)
     return path
 
 
@@ -406,8 +416,6 @@ def million_mention_corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("big") / "corpus.jsonl"
     total = 0
     with open(path, "w", encoding="utf-8") as fh:
-        from famespan.corpus_io import document_to_json
-
         for doc in generate_corpus(spec):
             total += len(doc.mentions)
             fh.write(document_to_json(doc))

@@ -294,10 +294,13 @@ def test_config_error_exit_code(tmp_path, corpus_path):
 
 BAD_SETTINGS = [("--reps", "0"), ("--reps", "-3"), ("--level", "1.5"), ("--level", "0"), ("--level", "1"),
                 ("--level", "nan"), ("--tail-quantile", "0"), ("--tail-quantile", "1.01"),
-                ("--width", "0"), ("--top-fraction", "0"), ("--top-fraction", "-1/1000")]
+                ("--width", "0"), ("--top-fraction", "0"), ("--top-fraction", "-1/1000"),
+                ("--top-k", "0"), ("--top-k", "-2"), ("--min-mentions", "0"), ("--min-mentions", "-5"),
+                ("--min-duration", "-3"), ("--min-duration", "-0.5")]
 SETTING_COMMANDS = {"--reps": ("stats", "report", "run"), "--level": ("stats", "report", "run"),
                     "--tail-quantile": ("stats", "report", "run"), "--width": ("report",),
-                    "--top-fraction": ("periods", "run")}
+                    "--top-fraction": ("periods", "run"), "--top-k": ("periods", "run"),
+                    "--min-mentions": ("periods", "run"), "--min-duration": ("periods", "run")}
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -318,7 +321,8 @@ def test_out_of_range_settings_are_config_errors_before_any_read(tmp_path, capsy
 
 def test_a_setting_at_its_range_end_is_accepted(tmp_path, corpus_path):
     assert run_to(corpus_path, tmp_path / "out", extra=["--reps", "1", "--tail-quantile", "1",
-                                                         "--top-fraction", "1/1000000"]) == 0
+                                                         "--top-fraction", "1/1000000", "--top-k", "1",
+                                                         "--min-mentions", "1", "--min-duration", "0"]) == 0
 
 
 def _cli_on_fifo(tmp_path: Path, data: bytes, argv: list[str]) -> subprocess.CompletedProcess:
@@ -384,6 +388,25 @@ def test_manifest_digest_of_a_corpus_read_from_a_pipe(tmp_path, corpus_path):
     digest = hashlib.sha256(data).hexdigest()
     assert file_manifest["inputs"] == {str(corpus_path): digest}
     assert pipe_manifest["inputs"] == {str(tmp_path / "corpus.pipe"): digest}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_manifest_digest_of_a_word_list_read_from_a_pipe(tmp_path):
+    raw, gaz = _raw_corpus(tmp_path), tmp_path / "gaz.txt"
+    gaz.write_text("Ada\nGrace\n", encoding="utf-8")
+    assert _run_raw(raw, gaz, tmp_path / "file") == 0
+    args = ["run", "--input", str(raw), "--schema", "raw", "--gazetteer", "FIFO", "--window", "2005-01",
+            "2006-01", "--n-min", "8", "--seed", "3", "--reps", "50", "--out-dir", str(tmp_path / "pipe")]
+    proc = _cli_on_fifo(tmp_path, gaz.read_bytes(), args)
+    assert proc.returncode == 0, proc.stderr
+    from_file = {p.name: p.read_bytes() for p in (tmp_path / "file").iterdir()}
+    from_pipe = {p.name: p.read_bytes() for p in (tmp_path / "pipe").iterdir()}
+    file_manifest = json.loads(from_file.pop("manifest.json"))
+    pipe_manifest = json.loads(from_pipe.pop("manifest.json"))
+    assert from_pipe == from_file and len(from_file) > 5
+    digest = hashlib.sha256(gaz.read_bytes()).hexdigest()
+    assert file_manifest["inputs"][str(gaz)] == digest
+    assert pipe_manifest["inputs"][str(tmp_path / "corpus.pipe")] == digest
 
 
 def test_data_error_exit_code(tmp_path):

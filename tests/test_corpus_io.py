@@ -6,31 +6,44 @@ import pytest
 
 from famespan.corpus_io import (
     AnalysisWindow,
-    Document,
+    ListSink,
     read_documents,
-    window_filter,
     write_documents,
 )
 from famespan.errors import SchemaError
+from famespan.synth import Document, document_to_json, window_filter
 
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_all(path, schema, window=None):
+    """read() of ``path`` into a ListSink: the reader, and the id,
+    timestamp and payload of each record, a text or (name, count) pairs."""
+    reader = read_documents(path, schema)
+    sink = ListSink(lambda block: [(doc_id, stamp.timestamp, p if isinstance(p, str) else list(zip(*p)))
+                                   for doc_id, stamp, p in block.records()])
+    reader.read(sink, window)
+    return reader, sink.items
+
+
+def as_record(doc):
+    return doc.id, doc.timestamp, doc.text if doc.text is not None else list(doc.mentions)
+
+
 def test_raw_line_maps_to_text_document(tmp_path):
     f = tmp_path / "c.jsonl"
     write_lines(f, [json.dumps({"id": "a", "date": "1912-04-15", "text": "John Jacob Astor died."})])
-    docs = list(read_documents(f, "raw"))
-    assert docs == [Document(id="a", timestamp=date(1912, 4, 15), text="John Jacob Astor died.")]
+    _, docs = read_all(f, "raw")
+    assert docs == [("a", date(1912, 4, 15), "John Jacob Astor died.")]
 
 
 def test_pretagged_line_maps_to_mentions(tmp_path):
     f = tmp_path / "c.jsonl"
     write_lines(f, [json.dumps({"id": "b", "date": "2009-07-01", "mentions": [["Michael Jackson", 3]]})])
-    docs = list(read_documents(f, "pretagged"))
-    assert docs[0].mentions == (("Michael Jackson", 3),)
-    assert docs[0].text is None
+    _, docs = read_all(f, "pretagged")
+    assert docs == [("b", date(2009, 7, 1), [("Michael Jackson", 3)])]
 
 
 def test_invalid_calendar_date_skipped_and_counted(tmp_path):
@@ -38,8 +51,7 @@ def test_invalid_calendar_date_skipped_and_counted(tmp_path):
     good = [json.dumps({"id": str(i), "date": "1912-04-15", "text": "x"}) for i in range(20)]
     bad = json.dumps({"id": "z", "date": "1912-13-40", "text": "x"})
     write_lines(f, good + [bad])
-    reader = read_documents(f, "raw")
-    docs = list(reader)
+    reader, docs = read_all(f, "raw")
     assert len(docs) == 20
     assert reader.stats.malformed == 1
 
@@ -47,23 +59,23 @@ def test_invalid_calendar_date_skipped_and_counted(tmp_path):
 def test_datetime_precision_preserved(tmp_path):
     f = tmp_path / "c.jsonl"
     write_lines(f, [json.dumps({"id": "a", "date": "2009-07-01T13:45:00", "text": "x"})])
-    docs = list(read_documents(f, "raw"))
-    assert docs[0].timestamp == datetime(2009, 7, 1, 13, 45)
+    _, docs = read_all(f, "raw")
+    assert docs[0][1] == datetime(2009, 7, 1, 13, 45)
 
 
 def test_too_many_malformed_lines_is_schema_error(tmp_path):
     f = tmp_path / "c.jsonl"
     write_lines(f, ["not json"] * 3 + [json.dumps({"id": "a", "date": "2000-01-01", "text": "x"})] * 5)
     with pytest.raises(SchemaError):
-        list(read_documents(f, "raw"))
+        read_all(f, "raw")
 
 
 def test_tsv_pretagged_variant(tmp_path):
     f = tmp_path / "c.tsv"
     write_lines(f, ["2001-05-02\tAda Lovelace\t2", "2001-05-03\tGrace Hopper\t1"])
-    docs = list(read_documents(f, "pretagged"))
-    assert [d.mentions for d in docs] == [(("Ada Lovelace", 2),), (("Grace Hopper", 1),)]
-    assert docs[0].timestamp == date(2001, 5, 2)
+    _, docs = read_all(f, "pretagged")
+    assert [d[2] for d in docs] == [[("Ada Lovelace", 2)], [("Grace Hopper", 1)]]
+    assert docs[0][1] == date(2001, 5, 2)
 
 
 BOM = "\ufeff"
@@ -79,8 +91,8 @@ def test_byte_order_mark_is_not_part_of_the_first_line(tmp_path, schema, record)
     f.write_text(BOM + "\n".join(lines) + "\n", encoding="utf-8")
     plain = tmp_path / "plain.jsonl"
     write_lines(plain, lines)
-    reader = read_documents(f, schema)
-    assert list(reader) == list(read_documents(plain, schema))
+    reader, docs = read_all(f, schema)
+    assert docs == read_all(plain, schema)[1]
     assert (reader.stats.documents, reader.stats.malformed) == (30, 0)
 
 
@@ -88,13 +100,12 @@ def test_byte_order_mark_before_tsv(tmp_path):
     f = tmp_path / "c.tsv"
     lines = ["2001-05-02\tAda Lovelace\t2", "2001-05-03\tGrace Hopper\t1"]
     f.write_text(BOM + "\n".join(lines) + "\n", encoding="utf-8")
-    reader = read_documents(f, "pretagged")
-    docs = list(reader)
-    assert [d.mentions for d in docs] == [(("Ada Lovelace", 2),), (("Grace Hopper", 1),)]
+    reader, docs = read_all(f, "pretagged")
+    assert [d[2] for d in docs] == [[("Ada Lovelace", 2)], [("Grace Hopper", 1)]]
     assert reader.stats.malformed == 0
     # the id digest is of the file's bytes, mark included
     digest = hashlib.sha256(f.read_bytes()).hexdigest()[:16]
-    assert [d.id for d in docs] == [f"tsv:{digest}:1", f"tsv:{digest}:2"]
+    assert [d[0] for d in docs] == [f"tsv:{digest}:1", f"tsv:{digest}:2"]
 
 
 @pytest.mark.parametrize("count", [2**63, 2**64 + 5, 10**30])
@@ -104,15 +115,15 @@ def test_count_beyond_int64_is_malformed(tmp_path, count):
     big = json.dumps({"id": "big", "date": "2001-05-02", "mentions": [["Ada Lovelace", 1], ["Grace Hopper", count]]})
     f = tmp_path / "c.jsonl"
     write_lines(f, [big, *good])
-    reader = read_documents(f, "pretagged")
-    assert [d.id for d in reader] == [f"g{i}" for i in range(20)]
+    reader, docs = read_all(f, "pretagged")
+    assert [d[0] for d in docs] == [f"g{i}" for i in range(20)]
     assert reader.stats.malformed == 1
     assert reader.stats.errors == [f"c.jsonl:1: mention count must be below 2**63, got {count}"]
 
     t = tmp_path / "c.tsv"
     write_lines(t, [f"2001-05-02\tAda Lovelace\t{count}", *["2001-05-02\tAda Lovelace\t9223372036854775807"] * 20])
-    reader = read_documents(t, "pretagged")
-    assert len(list(reader)) == 20
+    reader, docs = read_all(t, "pretagged")
+    assert len(docs) == 20
     assert reader.stats.malformed == 1
     assert reader.stats.errors == [f"c.tsv:1: count must be below 2**63, got {count}"]
 
@@ -124,10 +135,10 @@ def test_round_trip(tmp_path):
         Document(id="c", timestamp=date(2005, 6, 2), mentions=()),
     ]
     raw_path, tagged_path = tmp_path / "raw.jsonl", tmp_path / "tagged.jsonl"
-    write_documents([docs[0]], raw_path)
-    write_documents(docs[1:], tagged_path)
-    assert list(read_documents(raw_path, "raw")) == [docs[0]]
-    assert list(read_documents(tagged_path, "pretagged")) == docs[1:]
+    write_documents([document_to_json(docs[0])], raw_path)
+    write_documents(map(document_to_json, docs[1:]), tagged_path)
+    assert read_all(raw_path, "raw")[1] == [as_record(docs[0])]
+    assert read_all(tagged_path, "pretagged")[1] == list(map(as_record, docs[1:]))
 
 
 def test_document_requires_exactly_one_payload():
@@ -185,11 +196,9 @@ def test_full_line_accounting(tmp_path):
     ]
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     window = AnalysisWindow(date(1895, 1, 1), date(2011, 1, 1))
-    reader = read_documents(f, "raw")
-    docs = list(reader)
-    kept = list(window_filter(docs, window))
-    dropped = len(docs) - len(kept)
+    reader, kept = read_all(f, "raw", window)
     stats = reader.stats
+    dropped = stats.documents - len(kept)
     assert stats.lines == len(lines)
     assert len(kept) + dropped + stats.malformed + stats.blank == stats.lines
     assert len(kept) == 10 and dropped == 1 and stats.malformed == 1 and stats.blank == 2
@@ -204,10 +213,9 @@ def test_line_endings_and_decoding_faults(tmp_path):
              b'{"id": "p", "date": "2001-05-02", "text": "pair \\ud83d\\ude00"}', *good[20:]]
     f = tmp_path / "c.jsonl"
     f.write_bytes(b"".join(line + (b"\n", b"\r\n", b"\r")[i % 3] for i, line in enumerate(lines)))
-    reader = read_documents(f, "raw")
-    docs = list(reader)
-    assert [d.id for d in docs] == [f"d{i}" for i in range(20)] + ["p"] + [f"d{i}" for i in range(20, 30)]
-    assert docs[20].text == "pair \U0001F600"
+    reader, docs = read_all(f, "raw")
+    assert [d[0] for d in docs] == [f"d{i}" for i in range(20)] + ["p"] + [f"d{i}" for i in range(20, 30)]
+    assert docs[20][2] == "pair \U0001F600"
     assert (reader.stats.lines, reader.stats.malformed) == (33, 2)
     assert reader.stats.errors == [
         "c.jsonl:11: invalid UTF-8",

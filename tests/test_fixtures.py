@@ -3,13 +3,14 @@ from datetime import date
 import pytest
 
 from famespan.corpus_io import AnalysisWindow
+from famespan.dates import from_epoch_us
 from famespan.errors import ConfigError
 from famespan.fixtures import fixture_timeline
 from famespan.peaks import WeekGrid, continuity_period, spike_period
 
 
 def grid_for(t):
-    first = t.timestamps()[0]
+    first = from_epoch_us(int(t.times_us[0]))
     return WeekGrid.for_window(AnalysisWindow(date(first.year, 1, 1), date(2020, 1, 1)))
 
 

@@ -1,8 +1,9 @@
 """The single ingest pass against the streaming reference.
 
-The reference reads the corpus twice, as the pipeline once did:
-month_volumes, then sample_uniform over a second read, then mentions_of
-on every kept document, folded into timelines with a dict of dicts.
+The reference reads the corpus twice, as the pipeline once did, one
+famespan.synth Document at a time: month_volumes, then sample_uniform over
+a second read, then each kept document's mentions (the recognizer's
+phrase counts of a raw one), folded into timelines with a dict of dicts.
 """
 
 import json
@@ -16,19 +17,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from famespan import corpus_io
+from famespan import corpus_io, forks
 from famespan.cli import RunConfig, build_pipeline_timelines, main
-from famespan.corpus_io import AnalysisWindow, read_documents, window_filter, write_documents
+from famespan.corpus_io import AnalysisWindow, ListSink, read_documents, write_documents
 from famespan.dates import epoch_us, iso
 from famespan.errors import DataError, FamespanError
-from famespan.name_extract import Mention, load_recognizer, mentions_of
-from famespan.sampler import (
-    UNDERFULL_POLICIES,
-    SamplerConfig,
-    month_volumes,
-    sample_uniform,
-    write_sampling_report,
-)
+from famespan.name_extract import Mention, load_recognizer, phrase_counts
+from famespan.sampler import UNDERFULL_POLICIES, SamplerConfig, write_sampling_report
+from famespan.synth import Document, document_to_json, month_volumes, sample_uniform, window_filter
 from famespan.timeline import build_timelines
 
 WINDOW = AnalysisWindow(date(2005, 1, 1), date(2005, 5, 1))
@@ -51,16 +47,32 @@ def plain(timelines) -> dict[str, tuple[list[int], list[int]]]:
     return {name: (t.times_us.tolist(), t.counts.tolist()) for name, t in timelines.items()}
 
 
+def documents(path, schema) -> list[Document]:
+    """The Document of each record of ``path``, read() with no window."""
+    docs = ListSink(lambda block: [
+        Document(doc_id, stamp.timestamp, text=payload) if isinstance(payload, str)
+        else Document(doc_id, stamp.timestamp, mentions=tuple(zip(*payload)))
+        for doc_id, stamp, payload in block.records()])
+    read_documents(path, schema).read(docs)
+    return docs.items
+
+
+def mentions(doc, recognizer):
+    """(name, timestamp, count) of each mention of a document."""
+    pairs = doc.mentions if doc.text is None else phrase_counts(doc.text, recognizer).items()
+    return [(name, doc.timestamp, count) for name, count in pairs]
+
+
 def reference(inputs, schema, sampler_cfg, recognizer=None):
     """(month volumes, kept counts, kept documents, timelines) of the two-pass stream."""
     def windowed():
         for path in inputs:
-            yield from window_filter(read_documents(path, schema), WINDOW)
+            yield from window_filter(documents(path, schema), WINDOW)
 
     volumes = month_volumes(windowed())
     kept_counts: dict = {}
     kept = list(sample_uniform(windowed(), volumes, sampler_cfg, kept_counts))
-    timelines = fold(m for doc in kept for m in mentions_of(doc, recognizer))
+    timelines = fold(m for doc in kept for m in mentions(doc, recognizer))
     return volumes, kept_counts, kept, timelines
 
 
@@ -166,7 +178,7 @@ def test_single_pass_matches_streaming_reference(corpora, tmp_path, capsys, case
     assert 0 < len(kept) < sum(v.n_t for v in volumes)
 
     assert main(sample_args) == 0
-    write_documents(kept, tmp_path / "ref_sampled.jsonl")
+    write_documents(map(document_to_json, kept), tmp_path / "ref_sampled.jsonl")
     write_sampling_report(volumes, kept_counts, tmp_path / "ref_report.csv")
     assert (tmp_path / "sampled.jsonl").read_bytes() == (tmp_path / "ref_sampled.jsonl").read_bytes()
     assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "ref_report.csv").read_bytes()
@@ -180,7 +192,7 @@ def test_single_pass_matches_streaming_reference(corpora, tmp_path, capsys, case
 
 def test_fixture_covers_the_cases_it_claims(corpora):
     schema, inputs, _ = corpora["two-jsonl"]
-    docs = [d for p in inputs for d in read_documents(p, schema)]
+    docs = [d for p in inputs for d in documents(p, schema)]
     keys = Counter((name, epoch_us(d.timestamp)) for d in docs for name, _ in d.mentions)
     assert any(n > 1 for n in keys.values())  # repeated (name, time) pairs
     assert any(isinstance(d.timestamp, datetime) for d in docs)  # time of day
@@ -188,8 +200,26 @@ def test_fixture_covers_the_cases_it_claims(corpora):
     volumes = month_volumes(window_filter(docs, WINDOW))
     assert min(v.n_t for v in volumes) < N_MIN < max(v.n_t for v in volumes)
     reader = read_documents(inputs[0], schema)
-    list(reader)
+    reader.read(ListSink(lambda block: ()))
     assert reader.stats.malformed > 0 and reader.stats.blank > 0
+
+
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_raw_run_equals_extract_then_pretagged_run(corpora, tmp_path, monkeypatch, ranges):
+    # every input is read in ``ranges`` byte ranges; only the manifests,
+    # which name the inputs and the schema, differ
+    _, (raw,), gazetteer = corpora["raw"]
+    monkeypatch.setattr(corpus_io, "_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(forks, "usable_cpus", lambda: ranges)
+    tagged = tmp_path / "tagged.jsonl"
+    assert main(["extract", "--input", str(raw), "--gazetteer", str(gazetteer), "--out", str(tagged)]) == 0
+    common = [*WINDOW_ARGS, "--n-min", str(N_MIN), "--seed", str(SEED), "--reps", "50"]
+    assert main(["run", "--input", str(raw), "--schema", "raw", "--gazetteer", str(gazetteer), *common,
+                 "--out-dir", str(tmp_path / "raw")]) == 0
+    assert main(["run", "--input", str(tagged), *common, "--out-dir", str(tmp_path / "tagged")]) == 0
+    artifacts = [{p.name: p.read_bytes() for p in (tmp_path / run).iterdir() if p.name != "manifest.json"}
+                 for run in ("raw", "tagged")]
+    assert artifacts[0] == artifacts[1] and len(artifacts[0]) > 20
 
 
 @pytest.fixture(scope="module")

@@ -1,118 +1,99 @@
+import hashlib
 import re
-from datetime import date
 
 import pytest
 
-from famespan.corpus_io import Document
 from famespan.errors import ConfigError
 from famespan.name_extract import (
-    Mention,
     RecognizerConfig,
-    extract_mentions,
     load_wordlist,
-    mentions_of,
+    phrase_counts,
 )
-
-TS = date(1950, 3, 4)
 
 
 def cfg(gazetteer=("Ada",), **kw):
     return RecognizerConfig(given_name_gazetteer=frozenset(gazetteer), **kw)
 
 
-def doc(text):
-    return Document(id="d", timestamp=TS, text=text)
-
-
-def names(mentions):
-    return [(m.name, m.count) for m in mentions]
+def names(counts):
+    return list(counts.items())
 
 
 def test_honorific_and_gazetteer_paths_count_occurrences():
-    got = extract_mentions(doc("Mrs. Ada Lovelace spoke. Ada Lovelace left."), cfg())
+    got = phrase_counts("Mrs. Ada Lovelace spoke. Ada Lovelace left.", cfg())
     assert names(got) == [("Ada Lovelace", 2)]
-    assert got[0].timestamp == TS
 
 
 def test_empty_text():
-    assert extract_mentions(doc(""), cfg()) == []
+    assert phrase_counts("", cfg()) == {}
 
 
 def test_stop_capitalized_rejected():
-    got = extract_mentions(doc("The White House announced a plan."), cfg(gazetteer=("Ada",)))
-    assert got == []
+    got = phrase_counts("The White House announced a plan.", cfg(gazetteer=("Ada",)))
+    assert got == {}
 
 
 def test_honorific_not_part_of_name():
-    got = extract_mentions(doc("Dr. Grace Hopper arrived."), cfg(gazetteer=("Zz",)))
+    got = phrase_counts("Dr. Grace Hopper arrived.", cfg(gazetteer=("Zz",)))
     assert names(got) == [("Grace Hopper", 1)]
 
 
 def test_single_capitalized_token_not_a_phrase():
-    assert extract_mentions(doc("Mrs. Smith arrived."), cfg()) == []
+    assert phrase_counts("Mrs. Smith arrived.", cfg()) == {}
 
 
 def test_longest_match_wins():
-    got = extract_mentions(doc("Ada Lovelace King spoke."), cfg())
+    got = phrase_counts("Ada Lovelace King spoke.", cfg())
     assert names(got) == [("Ada Lovelace King", 1)]
 
 
 def test_max_phrase_tokens_caps_match():
-    got = extract_mentions(doc("Ada B C D E F spoke."), cfg(max_phrase_tokens=3))
+    got = phrase_counts("Ada B C D E F spoke.", cfg(max_phrase_tokens=3))
     assert names(got) == [("Ada B C", 1)]
 
 
 def test_hyphen_and_apostrophe_tokens():
-    got = extract_mentions(doc("Ada Smith-Jones met Ada O'Neill."), cfg())
+    got = phrase_counts("Ada Smith-Jones met Ada O'Neill.", cfg())
     assert names(got) == [("Ada Smith-Jones", 1), ("Ada O'Neill", 1)]
 
 
 def test_sentence_boundary_breaks_phrase():
     # "Paris. Ada" must not merge across the period
-    got = extract_mentions(doc("He went to Paris. Ada Lovelace stayed."), cfg())
+    got = phrase_counts("He went to Paris. Ada Lovelace stayed.", cfg())
     assert names(got) == [("Ada Lovelace", 1)]
 
 
 def test_comma_breaks_adjacency():
-    got = extract_mentions(doc("Ada, Lovelace"), cfg())
-    assert got == []
+    got = phrase_counts("Ada, Lovelace", cfg())
+    assert got == {}
 
 
 def test_initials_keep_their_period():
-    got = extract_mentions(doc("Ada B. Lovelace spoke."), cfg())
+    got = phrase_counts("Ada B. Lovelace spoke.", cfg())
     assert names(got) == [("Ada B. Lovelace", 1)]
 
 
 def test_deterministic_and_first_occurrence_order():
     text = "Ada Two spoke. Ada One spoke. Ada Two again said Ada One."
-    a = extract_mentions(doc(text), cfg())
-    b = extract_mentions(doc(text), cfg())
+    a = phrase_counts(text, cfg())
+    b = phrase_counts(text, cfg())
     assert a == b
-    assert [m.name for m in a] == ["Ada Two", "Ada One"]
+    assert list(a) == ["Ada Two", "Ada One"]
 
 
 def test_no_whitespace_artifacts_in_names():
-    got = extract_mentions(doc("  Ada   Lovelace  spoke to Mrs.  Jane  Smith-Page. "), cfg())
-    for m in got:
-        assert m.name == m.name.strip()
-        assert "  " not in m.name
+    got = phrase_counts("  Ada   Lovelace  spoke to Mrs.  Jane  Smith-Page. ", cfg())
+    for name in got:
+        assert name == name.strip()
+        assert "  " not in name
 
 
 def test_counts_match_naive_scan():
     # independent check: occurrences of the accepted phrase as token runs
     text = "Ada Lovelace met Ada Lovelace and Ada Lovelace. Nobody else came."
-    got = extract_mentions(doc(text), cfg())
+    got = phrase_counts(text, cfg())
     assert names(got) == [("Ada Lovelace", 3)]
-    assert sum(m.count for m in got) == len(re.findall(r"Ada Lovelace", text))
-
-
-def test_mentions_of_dispatch():
-    tagged = Document(id="p", timestamp=TS, mentions=(("X Y", 3),))
-    assert mentions_of(tagged) == [Mention("X Y", TS, 3)]
-    raw = doc("Ada Lovelace spoke.")
-    assert mentions_of(raw, cfg()) == extract_mentions(raw, cfg())
-    with pytest.raises(ConfigError):
-        mentions_of(raw)
+    assert sum(got.values()) == len(re.findall(r"Ada Lovelace", text))
 
 
 def test_config_validation():
@@ -137,23 +118,31 @@ def test_fuzz_structural_invariants():
     for _ in range(200):
         words = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 40))]
         text = " ".join(words)
-        got = extract_mentions(doc(text), config)
-        assert got == extract_mentions(doc(text), config)
-        seen = set()
+        got = phrase_counts(text, config)
+        assert got == phrase_counts(text, config)
         squashed = " ".join(text.split())
-        for m in got:
-            assert m.name not in seen
-            seen.add(m.name)
-            assert m.count >= 1
-            tokens = m.name.split()
+        for name, count in got.items():
+            assert count >= 1
+            tokens = name.split()
             assert 2 <= len(tokens) <= config.max_phrase_tokens
             assert tokens[0] not in config.stop_capitalized
-            assert m.name == m.name.strip() and "  " not in m.name
+            assert name == name.strip() and "  " not in name
             # each counted occurrence exists verbatim in the squashed text
-            assert squashed.count(m.name) >= m.count, (text, m)
+            assert squashed.count(name) >= count, (text, name)
 
 
 def test_load_wordlist(tmp_path):
     f = tmp_path / "gaz.txt"
     f.write_text("Ada\n\nGrace\n", encoding="utf-8")
     assert load_wordlist(f) == frozenset({"Ada", "Grace"})
+
+
+def test_load_wordlist_line_endings_and_digest(tmp_path):
+    # LF, CRLF and CR end entries; the digest is of the bytes read, the
+    # byte-order mark included
+    f = tmp_path / "gaz.txt"
+    data = b"\xef\xbb\xbfAda\r\nGrace\rAlan \n\n"
+    f.write_bytes(data)
+    digests = {}
+    assert load_wordlist(f, digests) == frozenset({"Ada", "Grace", "Alan"})
+    assert digests == {str(f): hashlib.sha256(data).hexdigest()}

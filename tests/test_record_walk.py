@@ -1,8 +1,9 @@
 """The pre-tagged ingest walk: records straight into columns.
 
 cli.ingest hands each windowed line's validated fields to MentionColumns
-with no Document in between; the reference reads the same files as
-Documents through window_filter and adds their mentions one by one.
+a block at a time; the reference reads the same files' records with no
+window, keeps those whose timestamp the window contains and adds their
+mentions one document at a time.
 """
 
 import hashlib
@@ -18,10 +19,11 @@ from hypothesis import strategies as st
 
 from famespan import cli, corpus_io
 from famespan.cli import main
-from famespan.corpus_io import AnalysisWindow, Document, read_documents, window_filter
+from famespan.corpus_io import AnalysisWindow, Block, ListSink, read_documents
 from famespan.dates import month_index
 from famespan.errors import SchemaError
 from famespan.sampler import SamplerConfig
+from famespan.synth import Document
 from famespan.timeline import MentionColumns
 
 WINDOW = AnalysisWindow(date(2005, 1, 1), date(2005, 5, 1))
@@ -105,17 +107,21 @@ def _walk(paths):
 
 
 def _reference(paths):
-    """Documents through window_filter, mentions added per (name, count)."""
+    """Each file's records read with no window, those in WINDOW kept, their
+    mentions added a document at a time."""
     cols, seen, stats, error = MentionColumns(), [], [], None
     for path in paths:
-        reader = read_documents(path, "pretagged")
+        reader, records = read_documents(path, "pretagged"), ListSink(Block.records)
         stats.append(reader.stats)
         try:
-            for doc in window_filter(reader, WINDOW):
-                seen.append((doc.id, month_index(doc.timestamp.year, doc.timestamp.month)))
-                cols.add(doc.timestamp, doc.mentions)
-        except SchemaError as exc:
+            reader.read(records)
+        except SchemaError as exc:  # raised once the whole file has been read
             error = str(exc)
+        for doc_id, stamp, (names, counts) in records.items:
+            if WINDOW.contains(stamp.timestamp):
+                seen.append((doc_id, month_index(stamp.timestamp.year, stamp.timestamp.month)))
+                cols.add(stamp.timestamp, list(zip(names, counts)))
+        if error:
             break
     return _columns(cols), seen, [vars(s) for s in stats], error
 
@@ -181,6 +187,7 @@ def _dated_corpus(root: Path) -> list[Path]:
 
 
 def test_pretagged_run_builds_no_document_and_parses_each_date_once(tmp_path, monkeypatch):
+    # no program module builds the reference Document of famespan.synth
     inputs = _dated_corpus(tmp_path)
     built: Counter = Counter()
     original_post_init = Document.__post_init__
@@ -206,10 +213,10 @@ def test_pretagged_run_builds_no_document_and_parses_each_date_once(tmp_path, mo
     lines = {p: p.read_text(encoding="utf-8").splitlines() for p in inputs}
     per_file = Counter(d for p in inputs for d in {json.loads(line)["date"] for line in lines[p]})
     assert parsed == per_file
-    # the counters do see the Document path
     assert main(["sample", *common, "--out", str(tmp_path / "sampled.jsonl")]) == 0
-    assert sum(built.values()) == sum(1 for p in inputs for line in lines[p]
-                                      if WINDOW.contains(original_parse(json.loads(line)["date"])))
+    assert not built
+    Document(id="seen", timestamp=date(2005, 1, 3), mentions=())  # the counter works
+    assert built == {"seen": 1}
 
 
 def test_tsv_ids_do_not_collide_across_files(tmp_path, capsys):
@@ -228,4 +235,7 @@ def test_tsv_ids_do_not_collide_across_files(tmp_path, capsys):
     expected = {f"tsv:{hashlib.sha256(p.read_bytes()).hexdigest()[:16]}:{n}"
                 for p in paths for n in range(1, 201)}
     assert set(ids) <= expected
-    assert {d.id for p in paths for d in read_documents(p, "pretagged")} == expected
+    read_ids = ListSink(lambda block: block.ids)
+    for p in paths:
+        read_documents(p, "pretagged").read(read_ids)
+    assert set(read_ids.items) == expected

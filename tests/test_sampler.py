@@ -1,84 +1,91 @@
 import math
-from datetime import date
+from itertools import compress
 
 import numpy as np
 import pytest
 
-from famespan.corpus_io import Document
+from famespan.dates import month_index
 from famespan.errors import ConfigError, UnderfullMonth
 from famespan.sampler import (
     MonthVolume,
     SamplerConfig,
-    keep_score,
-    month_volumes,
-    sample_uniform,
+    keep_scorer,
+    sample_columns,
     write_sampling_report,
 )
 
 
 def docs_in_month(year, month, n, prefix=""):
-    return [
-        Document(id=f"{prefix}{year}-{month}-{i}", timestamp=date(year, month, 1 + i % 28), text="x")
-        for i in range(n)
-    ]
+    """The ids and month indices of n documents of one month."""
+    return [f"{prefix}{year}-{month}-{i}" for i in range(n)], [month_index(year, month)] * n
+
+
+def joined(*columns):
+    ids, months = [], []
+    for more_ids, more_months in columns:
+        ids += more_ids
+        months += more_months
+    return ids, months
+
+
+def sample(ids, months, cfg):
+    """sample_columns over the ids' keep scores: its volumes, the kept ids
+    in input order and the kept count of each month."""
+    volumes, keep, kept_counts = sample_columns(months, list(map(keep_scorer(cfg.seed), ids)), cfg)
+    return volumes, list(compress(ids, keep)), kept_counts
 
 
 def test_month_volumes_counts():
-    docs = docs_in_month(1900, 1, 3) + docs_in_month(1900, 2, 1)
-    assert month_volumes(docs) == [
+    ids, months = joined(docs_in_month(1900, 2, 1), docs_in_month(1900, 1, 3))
+    volumes, _, _ = sample(ids, months, SamplerConfig(n_min=1, seed=1))
+    assert volumes == [
         MonthVolume((1900, 1), 3),
         MonthVolume((1900, 2), 1),
     ]
 
 
 def test_month_volumes_empty():
-    assert month_volumes([]) == []
+    assert sample([], [], SamplerConfig(n_min=1, seed=1)) == ([], [], {})
 
 
 def test_month_at_target_kept_fully():
-    docs = docs_in_month(1950, 6, 40)
-    vols = month_volumes(docs)
-    kept = list(sample_uniform(docs, vols, SamplerConfig(n_min=40, seed=1)))
-    assert kept == docs
+    ids, months = docs_in_month(1950, 6, 40)
+    _, kept, _ = sample(ids, months, SamplerConfig(n_min=40, seed=1))
+    assert kept == ids
 
 
 def test_binomial_concentration_at_half():
     # 10,000 docs in one month, target half: kept ~ Binomial(10000, 0.5)
-    docs = docs_in_month(1950, 6, 10000)
-    vols = month_volumes(docs)
-    kept = list(sample_uniform(docs, vols, SamplerConfig(n_min=5000, seed=123)))
+    ids, months = docs_in_month(1950, 6, 10000)
+    _, kept, _ = sample(ids, months, SamplerConfig(n_min=5000, seed=123))
     sigma = math.sqrt(10000 * 0.25)
     assert abs(len(kept) - 5000) <= 3 * sigma
 
 
 def test_order_independence_and_determinism():
-    docs = docs_in_month(1960, 2, 500) + docs_in_month(1960, 3, 800)
-    vols = month_volumes(docs)
+    ids, months = joined(docs_in_month(1960, 2, 500), docs_in_month(1960, 3, 800))
     cfg = SamplerConfig(n_min=400, seed=99)
-    kept1 = {d.id for d in sample_uniform(docs, vols, cfg)}
-    rng = np.random.default_rng(0)
-    shuffled = [docs[i] for i in rng.permutation(len(docs))]
-    kept2 = {d.id for d in sample_uniform(shuffled, vols, cfg)}
+    kept1 = set(sample(ids, months, cfg)[1])
+    order = np.random.default_rng(0).permutation(len(ids))
+    kept2 = set(sample([ids[i] for i in order], [months[i] for i in order], cfg)[1])
     assert kept1 == kept2
-    kept3 = {d.id for d in sample_uniform(docs, vols, cfg)}
+    kept3 = set(sample(ids, months, cfg)[1])
     assert kept1 == kept3
 
 
 def test_different_seed_changes_selection():
-    docs = docs_in_month(1960, 2, 2000)
-    vols = month_volumes(docs)
-    a = {d.id for d in sample_uniform(docs, vols, SamplerConfig(n_min=1000, seed=1))}
-    b = {d.id for d in sample_uniform(docs, vols, SamplerConfig(n_min=1000, seed=2))}
+    ids, months = docs_in_month(1960, 2, 2000)
+    a = set(sample(ids, months, SamplerConfig(n_min=1000, seed=1))[1])
+    b = set(sample(ids, months, SamplerConfig(n_min=1000, seed=2))[1])
     assert a != b
 
 
 def test_underfull_policies():
-    docs = docs_in_month(1894, 5, 10)
-    vols = month_volumes(docs)
-    assert list(sample_uniform(docs, vols, SamplerConfig(100, 1, "drop-month"))) == []
-    assert list(sample_uniform(docs, vols, SamplerConfig(100, 1, "keep-all"))) == docs
+    ids, months = docs_in_month(1894, 5, 10)
+    assert sample(ids, months, SamplerConfig(100, 1, "drop-month"))[1] == []
+    assert sample(ids, months, SamplerConfig(100, 1, "keep-all"))[1] == ids
     with pytest.raises(UnderfullMonth):
-        list(sample_uniform(docs, vols, SamplerConfig(100, 1, "fail")))
+        sample(ids, months, SamplerConfig(100, 1, "fail"))
 
 
 def test_config_validation():
@@ -89,16 +96,16 @@ def test_config_validation():
 
 
 def test_keep_score_uniform_range():
-    scores = [keep_score(7, f"id{i}") for i in range(2000)]
+    score = keep_scorer(7)
+    scores = [score(f"id{i}") for i in range(2000)]
     assert all(0.0 <= s < 1.0 for s in scores)
     assert 0.45 < float(np.mean(scores)) < 0.55
 
 
 def test_sampling_report(tmp_path):
-    docs = docs_in_month(1950, 6, 100) + docs_in_month(1950, 7, 20)
-    vols = month_volumes(docs)
-    kept_counts = {}
-    list(sample_uniform(docs, vols, SamplerConfig(n_min=50, seed=5), kept_counts=kept_counts))
+    ids, months = joined(docs_in_month(1950, 6, 100), docs_in_month(1950, 7, 20))
+    vols, kept, kept_counts = sample(ids, months, SamplerConfig(n_min=50, seed=5))
+    assert kept_counts == {(1950, 6): sum(i.startswith("1950-6-") for i in kept), (1950, 7): 0}
     out = tmp_path / "report.csv"
     write_sampling_report(vols, kept_counts, out)
     lines = out.read_text().splitlines()

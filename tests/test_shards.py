@@ -242,8 +242,8 @@ def test_the_earliest_failing_shard_raises(tmp_path, monkeypatch):
         return original(line, *rest)
 
     monkeypatch.setattr(corpus_io, "_parse_json_line", failing)
-    with pytest.raises(RuntimeError, match="^failed at d45$"):
-        list(read_documents(path, "pretagged"))
+    with shards(1), pytest.raises(RuntimeError, match="^failed at d45$"):
+        read_documents(path, "pretagged").read(ListSink(_ids))
     before = _open_fds()
     with shards(3), pytest.raises(RuntimeError, match="^failed at d45$"):
         read_documents(path, "pretagged").read(ListSink(_ids))
@@ -290,8 +290,8 @@ def test_too_many_malformed_lines_sharded(tmp_path):
     path = _corpus(tmp_path)
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join(b"{broken\n" if i % 7 == 0 else line for i, line in enumerate(lines)))
-    with pytest.raises(SchemaError) as serial:
-        list(read_documents(path, "pretagged"))
+    with shards(1), pytest.raises(SchemaError) as serial:
+        read_documents(path, "pretagged").read(ListSink(_ids))
     before = _open_fds()
     for n in (2, 3):
         with shards(n), pytest.raises(SchemaError) as sharded:

@@ -22,7 +22,7 @@ sys.path.insert(0, str(BENCH))
 import layertrace  # noqa: E402
 
 # WRAPS entries that name functions cli stopped calling before these tests
-STALE_WRAPS = {"window_filter", "month_volumes", "sample_uniform"}
+STALE_WRAPS = {"window_filter", "month_volumes", "sample_uniform", "mentions_of"}
 
 
 def _env(env_update: dict | None) -> dict:
@@ -145,7 +145,8 @@ def test_traced_periods_times_its_stages(tmp_path):
         env=_env(None), cwd=ROOT, check=True, capture_output=True, timeout=120)
     tracer, _, missing = layertrace.Tracer.load(spans)
     counts = tracer.span_counts()
-    assert missing == {"sampler.volume"}  # month_volumes only, which cli no longer calls
+    # month_volumes and mentions_of, the only names of these layers, are gone from cli
+    assert missing == {"sampler.volume", "name_extract.extract"}
     for layer in ("timeline.build", "timeline.filter", "sampler.sample", "peaks.spike",
                   "peaks.continuity", "report.write"):
         assert counts.get(layer, 0) > 0, layer

@@ -233,7 +233,7 @@ def test_quantile_matches_exact_rational_rank():
 def test_bootstrap_batching_matches_plain_loop():
     # n large enough that reps span several internal batches; compare with
     # an independent one-replicate-at-a-time evaluation
-    from famespan.stats import _resample_indices
+    from famespan.stats import _resample_rows
 
     rng = np.random.default_rng(12)
     values = rng.exponential(size=30000) + 0.5
@@ -241,7 +241,7 @@ def test_bootstrap_batching_matches_plain_loop():
     iv = bootstrap(values, QuantileStatistic(q), reps=reps, level=0.99, seed=seed)
     replicate_values = []
     for r in range(reps):
-        resample = values[_resample_indices(seed, r, values.size)]
+        resample = values[_resample_rows(seed, r, 1, values.size)[0]]
         replicate_values.append(quantile(resample, q))
     assert iv.lo == quantile(replicate_values, 0.005)
     assert iv.hi == quantile(replicate_values, 0.995)
@@ -298,11 +298,11 @@ def _ref_index(seed, rep, i, n):
 
 class TestKeyedResampling:
     def test_matches_exact_integer_reference(self):
-        from famespan.stats import _resample_indices
+        from famespan.stats import _resample_rows
 
         for seed, rep, n in [(0, 0, 1), (44, 7, 13), (2**64 - 1, 24999, 150), (-3, 2, 1000)]:
             expected = [_ref_index(seed, rep, i, n) for i in range(n)]
-            assert _resample_indices(seed, rep, n).tolist() == expected
+            assert _resample_rows(seed, rep, 1, n)[0].tolist() == expected
 
     def test_bounded_rejection_branch_redraws(self):
         from famespan.stats import _bounded
@@ -346,7 +346,7 @@ class TestKeyedResampling:
         rows = np.concatenate([r for _, r in drawn])
         assert rows.shape == (20, values.size)
         for r in range(20):
-            assert np.array_equal(rows[r], stats._resample_indices(8, r, values.size))
+            assert np.array_equal(rows[r], stats._resample_rows(8, r, 1, values.size)[0])
         assert np.array_equal(whole["p50"][0], batched["p50"][0])
 
     def test_cell_hashes_every_batch_into_one_buffer(self, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from famespan.corpus_io import AnalysisWindow
 from famespan.errors import ConfigError
-from famespan.name_extract import mentions_of
+from famespan.name_extract import Mention
 from famespan.peaks import continuity_period
 from famespan.synth import (
     NameProfile,
@@ -104,7 +104,8 @@ def test_volume_effect_on_continuity_durations():
             window=window,
             seed=seed,
         )
-        mentions = [m for doc in generate_corpus(spec) for m in mentions_of(doc)]
+        mentions = [Mention(name, doc.timestamp, n)
+                    for doc in generate_corpus(spec) for name, n in doc.mentions]
         timelines = build_timelines(mentions)
         if "A" not in timelines:
             return 0.0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famespan.dates import epoch_us
 from famespan.errors import DataError
 from famespan.name_extract import Mention
 from famespan.timeline import (
@@ -28,7 +29,7 @@ D2 = date(1950, 3, 9)
 def test_additive_merge():
     tls = build_timelines([Mention("A", D1, 2), Mention("A", D1, 1), Mention("A", D2, 1)])
     t = tls["A"]
-    assert t.timestamps() == [D1, D2]
+    assert t.times_us.tolist() == [epoch_us(D1), epoch_us(D2)]
     assert t.counts.tolist() == [3, 1]
     assert t.total == 4
 
