@@ -29,7 +29,7 @@ from datetime import date
 from fractions import Fraction
 from itertools import compress
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .constants import METHOD_SPIKE, METHODS, UNDERFULL_POLICIES, WIDTH_3_MONTHS, WIDTH_5_YEARS
 from .corpus_io import (
@@ -38,9 +38,7 @@ from .corpus_io import (
     ListSink,
     Sink,
     read_documents,
-    receive_array,
     record_json,
-    send_array,
     write_documents,
 )
 from .dates import parse_month
@@ -223,15 +221,18 @@ class _Keyed:
     def shard(self) -> _Keyed:
         return _Keyed(self.score, self.collect.shard())
 
-    def send(self, fh: BinaryIO) -> None:
-        send_array(fh, self.months)
-        send_array(fh, self.scores)
-        self.collect.send(fh)
+    def held(self) -> tuple:
+        """The columns as bytes, not arrays: an unpickled array is built
+        from a bytes copy that the load holds until it ends.  With arrays,
+        pretagged_1m's peak RSS read 70.1-70.9 MB against 68.3-68.7 in two
+        of three checkout directories on a 2-vCPU host."""
+        return self.months.tobytes(), self.scores.tobytes(), self.collect.held()
 
-    def receive(self, fh: BinaryIO) -> None:
-        receive_array(fh, self.months)
-        receive_array(fh, self.scores)
-        self.collect.receive(fh)
+    def merge(self, held: tuple) -> None:
+        months, scores, collected = held
+        self.months.frombytes(months)
+        self.scores.frombytes(scores)
+        self.collect.merge(collected)
 
 
 def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_cfg: SamplerConfig,

@@ -28,12 +28,13 @@ text or a name, is malformed.
 
 DocumentReader.read() feeds a whole file to a Sink.  A file of at least
 2 * _SHARD_MIN_BYTES is cut after newline bytes into up to one byte range
-per usable CPU.  Forked children (forks.Children) read every range but
-the first into sinks of their own and send them back over pipes; the
-parent reads the first range, then appends the children's sinks in file
-order, so sinks, ReadStats and error texts are those of a read in one
-process.  A file that is not regular (a pipe) is one range, read and
-hashed in the process.
+per usable CPU, and forks.shares() runs one task per range: the process
+reads the first range into the sink, and a forked child per other range
+reads it into a sink.shard() of its own and pickles back its Tally and
+what that sink held().  The parent merges the shares in file order, so
+sinks, ReadStats and error texts are those of a read in one process.  A
+file that is not regular (a pipe) is one range, read and hashed in the
+process.
 
 Malformed lines are counted and skipped; if more than 10% of non-blank
 lines are malformed the reader raises SchemaError at end of stream,
@@ -48,22 +49,17 @@ import hashlib
 import json
 import os
 import stat
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import partial
 from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, Union
 
 from .dates import Timestamp, epoch_us, iso, month_index, parse_timestamp
 from .errors import DataError, SchemaError
-
-if TYPE_CHECKING:
-    from array import array
-
-# pickle serves only files read in shards, so it is imported on use and a
-# launch that reads no large file does not load it
 
 MALFORMED_FRACTION_LIMIT = 0.10
 
@@ -77,7 +73,7 @@ _STAMP_MEMO_LIMIT = 1024
 # below the garbage collector's generation-0 threshold of 700.
 _BLOCK_LINES = 32
 
-# Bytes decoded at a time, and bytes appended at a time from a shard's pipe.
+# Bytes decoded at a time.
 _READ_BYTES = 1 << 16
 
 # A file is cut into byte ranges of at least this size, one per usable CPU.
@@ -174,9 +170,10 @@ class Block(NamedTuple):
 
 
 class Sink(Protocol):
-    """What DocumentReader.read() feeds: it takes Blocks in file order, and
-    a sink that shard() made in a forked child travels back through send()
-    and receive()."""
+    """What DocumentReader.read() feeds: it takes Blocks in file order.  A
+    sink that shard() made for a forked child comes back as the plain
+    values of its held(), which pickle where the sink itself may not, and
+    merge() appends them."""
 
     def add_block(self, block: Block) -> None:
         """Take the next Block."""
@@ -184,11 +181,11 @@ class Sink(Protocol):
     def shard(self) -> "Sink":
         """An empty sink of the same kind, for one byte range of a file."""
 
-    def send(self, fh: BinaryIO) -> None:
-        """Write what this sink holds to a pipe."""
+    def held(self) -> object:
+        """What this sink holds, as values that pickle."""
 
-    def receive(self, fh: BinaryIO) -> None:
-        """Append what another sink's send() wrote."""
+    def merge(self, held: object) -> None:
+        """Append what another sink's held() returned."""
 
 
 # a byte range's counts, and its first 10 errors with line numbers counted
@@ -207,46 +204,29 @@ class DocumentReader:
         self.schema = schema
         self.stats = ReadStats()
         # the sha256 of the bytes read() read from a file that is not
-        # regular (a pipe), which cannot be read again to hash it
+        # regular (a pipe), which cannot be read again to hash it, or of a
+        # TSV file, which _sniff hashes for its ids
         self.digest: str | None = None
 
     def read(self, sink: Sink, window: AnalysisWindow | None = None) -> None:
         """Feed the Blocks of the whole file to ``sink`` in file order (see
         the module notes).  The file is opened once here, so a pipe is read
         once, and hashed as it is read."""
+        from .forks import shares
         with open(self.path, "rb") as fh:
             ranges = _byte_ranges(fh)
-            if len(ranges) > 1:
-                tallies = self._read_shards(fh, ranges, sink, window)
-            else:
-                source = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else _Hashed(fh)
-                tallies = [(ReadStats(), [])]
-                for block in self._range_blocks(source, window, None, 0, None, tallies[0]):
-                    sink.add_block(block)
-                self.digest = None if source is fh else source.sha256.hexdigest()
-        self._finish(tallies)
-
-    def _read_shards(self, fh: BinaryIO, ranges: list[tuple[int, int | None]], sink: Sink,
-                     window: AnalysisWindow | None) -> list[Tally]:
-        """read() of a file cut into byte ranges: the parent reads the first
-        while forked children read the others; their Tallies.  A child's
-        error is raised as it was raised there, that of the earliest range
-        first, and every child is reaped before this returns or raises."""
-        from .forks import Children, result
-        tsv_ids = self._tsv_ids()
-        tallies: list[Tally] = [(ReadStats(), [])]
-        with Children() as children:
-            pipes = []
-            for start, end in ranges[1:]:
-                shard = sink.shard()
-                pipes.append(children.fork(partial(self._read_range, shard, window, tsv_ids, start, end),
-                                           shard.send))
-            for block in self._range_blocks(fh, window, tsv_ids, *ranges[0], tallies[0]):
-                sink.add_block(block)
-            for pipe, (start, end) in zip(pipes, ranges[1:]):
-                what = f"{self.path}: the reader of bytes {start} to {end or 'the end'}"
-                tallies.append(result(pipe, what, sink.receive))
-        return tallies
+            source = fh if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else _Hashed(fh)
+            tsv_ids = self._tsv_ids() if len(ranges) > 1 else None
+            tasks = [partial(self._read_range, source, sink, window, tsv_ids, *ranges[0])]
+            tasks += [partial(self._read_range, None, sink.shard(), window, tsv_ids, start, end)
+                      for start, end in ranges[1:]]
+            parts = shares(tasks, lambda k: f"{self.path}: the reader of bytes {ranges[k][0]} to "
+                                            f"{ranges[k][1] or 'the end'}")
+        if source is not fh:
+            self.digest = source.sha256.hexdigest()
+        for _, held in parts[1:]:
+            sink.merge(held)
+        self._finish([tally for tally, _ in parts])
 
     def _tsv_ids(self) -> str:
         """The _sniff of a regular file, read ahead of its byte ranges."""
@@ -269,7 +249,8 @@ class DocumentReader:
                 if not stat.S_ISREG(os.stat(self.path).st_mode):
                     raise DataError(f"{self.path}: a TSV input must be a regular file, "
                                     "since its ids carry the file's sha256")
-                return f"tsv:{_file_digest(self.path)[:16]}:"
+                self.digest = sha256_file(self.path)
+                return f"tsv:{self.digest[:16]}:"
         return None
 
     def _range_blocks(self, fh: BinaryIO, window: AnalysisWindow | None, tsv_ids: str | None,
@@ -316,15 +297,16 @@ class DocumentReader:
                 if block:
                     yield block
 
-    def _read_range(self, shard: Sink, window: AnalysisWindow | None, tsv_ids: str | None, start: int,
-                    end: int | None) -> Tally:
-        """In a forked child: read bytes [start, end) into ``shard``; their
-        Tally."""
+    def _read_range(self, fh: BinaryIO | _Hashed | None, sink: Sink, window: AnalysisWindow | None,
+                    tsv_ids: str | None, start: int, end: int | None) -> tuple[Tally, object]:
+        """Read bytes [start, end) into ``sink``, through ``fh`` or, if it is
+        None (in a forked child), through a file of its own; their Tally and,
+        from a child, sink.held()."""
         tally: Tally = (ReadStats(), [])
-        with open(self.path, "rb") as fh:
-            for block in self._range_blocks(fh, window, tsv_ids, start, end, tally):
-                shard.add_block(block)
-        return tally
+        with open(self.path, "rb") if fh is None else nullcontext(fh) as source:
+            for block in self._range_blocks(source, window, tsv_ids, start, end, tally):
+                sink.add_block(block)
+        return tally, sink.held() if fh is None else None
 
     def _finish(self, tallies: list[Tally]) -> None:
         """Add the Tallies of the file's byte ranges, in file order, to
@@ -349,7 +331,7 @@ class DocumentReader:
 
 class ListSink:
     """A Sink that keeps ``convert(block)``'s items of every block in
-    .items; a shard's items travel pickled."""
+    .items."""
 
     def __init__(self, convert: Callable[[Block], Iterable]):
         self.convert = convert
@@ -361,37 +343,11 @@ class ListSink:
     def shard(self) -> "ListSink":
         return ListSink(self.convert)
 
-    def send(self, fh: BinaryIO) -> None:
-        import pickle
-        pickle.dump(self.items, fh, pickle.HIGHEST_PROTOCOL)
+    def held(self) -> list:
+        return self.items
 
-    def receive(self, fh: BinaryIO) -> None:
-        import pickle
-        self.items += pickle.load(fh)
-
-
-def send_array(fh: BinaryIO, values: array) -> None:
-    """Write an array with its length."""
-    fh.write(len(values).to_bytes(8, "little"))
-    fh.write(values)
-
-
-def receive_array(fh: BinaryIO, into: array, convert: Callable[[bytes], bytes] | None = None) -> None:
-    """Append what send_array wrote to ``into`` a piece at a time, each
-    piece's bytes passed through ``convert`` if given, so the array is
-    never held whole a second time."""
-    left = int.from_bytes(_read_exactly(fh, 8), "little") * into.itemsize
-    while left:
-        piece = _read_exactly(fh, min(left, _READ_BYTES))
-        into.frombytes(convert(piece) if convert else piece)
-        left -= len(piece)
-
-
-def _read_exactly(fh: BinaryIO, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) < n:
-        raise EOFError(f"{n} bytes expected, {len(data)} read")
-    return data
+    def merge(self, held: list) -> None:
+        self.items += held
 
 
 def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
@@ -497,7 +453,7 @@ class _Hashed:
         return data
 
 
-def _file_digest(path: Path) -> str:
+def sha256_file(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

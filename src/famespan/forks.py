@@ -1,15 +1,23 @@
-"""Shares of one job run in forked children, their results sent over pipes.
+"""Shares of one job run in forked children, each result pickled to a pipe.
 
 The reader (corpus_io.DocumentReader.read) and the bootstrap
-(stats.bootstrap_many) both do the first share of a job in the process
-while a forked child per other share computes that one.  A child pickles
-(None, its result) to a pipe, then may stream more bytes after it, or
-pickles (its exception, None), and always ends in os._exit, so it never
-returns into the caller's frames or runs its exit handlers.  The parent
-takes the results in share order, so the earliest failing share's error
-is the one raised.  Nothing forks where os.fork is missing or another
-Python thread runs, whose locks a child would inherit in whatever state
-they are.
+(stats._shared_replicates) each hand shares() one task per share of a
+job.  The process runs the first task while a forked child per other task
+runs that one, pickles (None, its result) or (its exception, None) to a
+pipe, and ends in os._exit, so it never returns into the caller's frames
+or runs its exit handlers.  The parent takes the results in task order,
+so the earliest failing task's error is the one raised, and the caller
+merges the shares in that order.  Nothing forks where os.fork is missing
+or another Python thread runs, whose locks a child would inherit in
+whatever state they are.
+
+While children run, the parent and each child are pinned to CPUs of their
+own: on a 2-vCPU host the kernel was seen to start a child on its
+parent's CPU and leave both there for a whole 50 ms task.  Benchmark
+pairs without the pinning have not settled whether it still pays there:
+one set saw pretagged_1m's peak RSS 68.8 -> 70.2 MB and
+century_bootstrap's CPU time 0.86 -> 0.90 s, another 69.1 -> 68.5 MB and
+0.86 -> 0.81 s.
 
 pickle and signal are imported on use, so a launch that forks nothing
 does not load them.
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Sequence
 
 
 def usable_cpus() -> int:
@@ -33,62 +41,64 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class Children:
-    """The children forked in a ``with`` block.  Leaving it by an exception
-    kills every child; either way every pipe is closed and every child
-    reaped.
-
-    The kernel may start a child on its parent's CPU and leave both there
-    for the whole of a short task, so while children run, the parent and
-    each child are pinned to CPUs of their own (the parent's mask is
-    restored on leaving the block).
-    """
-
-    def __init__(self):
-        self._forked: list[tuple[int, BinaryIO]] = []
-        self._cpus: list[int] = []
-
-    def fork(self, task: Callable[[], object], send: Callable[[BinaryIO], None] | None = None) -> BinaryIO:
-        """Fork a child that sends ``task()`` and then lets ``send`` write to
-        the pipe; the pipe's read end, for result()."""
-        if not self._forked and hasattr(os, "sched_setaffinity"):
-            self._cpus = sorted(os.sched_getaffinity(0))
-            _pin(self._cpus[:1])
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(r)
-            os.close(w)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(r)
-                if self._cpus:
-                    _pin([self._cpus[(len(self._forked) + 1) % len(self._cpus)]])
-                with open(w, "wb") as out:
-                    _send_result(task, send, out)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(w)
-        self._forked.append((pid, open(r, "rb")))
-        return self._forked[-1][1]
-
-    def __enter__(self) -> Children:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            from signal import SIGKILL
-            for pid, _ in self._forked:
-                os.kill(pid, SIGKILL)
-        for pid, pipe in self._forked:
+def shares(tasks: Sequence[Callable[[], object]], what: Callable[[int], str]) -> list:
+    """The results of ``tasks`` in task order: tasks[0] runs in the process,
+    each other task in a child forked for it.  The earliest failing task's
+    exception is raised; a child that ends without a result is a
+    ChildProcessError naming ``what(k)`` for its task k.  Any exception
+    kills every child; in every case every pipe is closed, every child
+    reaped and the process's CPU mask restored."""
+    forked: list[tuple[int, BinaryIO]] = []
+    cpus = sorted(os.sched_getaffinity(0)) if len(tasks) > 1 and hasattr(os, "sched_setaffinity") else []
+    try:
+        if cpus:
+            _pin(cpus[:1])
+        for k, task in enumerate(tasks[1:], 1):
+            forked.append(_fork(task, cpus[k % len(cpus)] if cpus else None))
+        results = [tasks[0]()]
+        results += [_result(pipe, what(k)) for k, (_, pipe) in enumerate(forked, 1)]
+        return results
+    except BaseException:
+        from signal import SIGKILL
+        for pid, _ in forked:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, pipe in forked:
             pipe.close()
             os.waitpid(pid, 0)
-        if self._cpus:
-            _pin(self._cpus)
+        if cpus:
+            _pin(cpus)
+
+
+def _fork(task: Callable[[], object], cpu: int | None) -> tuple[int, BinaryIO]:
+    """A child, pinned to ``cpu`` if given, that pickles what ``task``
+    returns or raises to a pipe; its pid and the pipe's read end."""
+    import pickle
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            if cpu is not None:
+                _pin([cpu])
+            with open(w, "wb") as out:
+                try:
+                    outcome = (None, task())
+                except Exception as exc:
+                    outcome = (exc, None)
+                pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def _pin(cpus: list[int]) -> None:
@@ -100,27 +110,11 @@ def _pin(cpus: list[int]) -> None:
         pass
 
 
-def _send_result(task: Callable[[], object], send: Callable[[BinaryIO], None] | None, out: BinaryIO) -> None:
-    import pickle
-    try:
-        value = task()
-    except Exception as exc:
-        pickle.dump((exc, None), out)
-        return
-    pickle.dump((None, value), out, pickle.HIGHEST_PROTOCOL)
-    if send is not None:
-        send(out)
-
-
-def result(pipe: BinaryIO, what: str, receive: Callable[[BinaryIO], None] | None = None):
-    """What a child's task returned, once ``receive`` has read what its
-    ``send`` wrote.  The child's exception is raised here; a child that
-    ended without a result is a ChildProcessError naming ``what``."""
+def _result(pipe: BinaryIO, what: str):
+    """What a child's task returned; its exception is raised here."""
     import pickle
     try:
         error, value = pickle.load(pipe)
-        if error is None and receive is not None:
-            receive(pipe)
     except (EOFError, pickle.UnpicklingError):
         raise ChildProcessError(f"{what} ended without a result") from None
     if error is not None:

@@ -9,12 +9,12 @@ exponents carry two.  Intervals render as "27 (25 .. 29)".
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus_io import sha256_file
 from .dates import US_PER_DAY, epoch_us, iso, parse_timestamp
 from .errors import DataError, StatsError
 from .peaks import FamePeriod
@@ -262,19 +262,11 @@ def write_fits_json(stats_by_label: dict[str, CohortStats], path: str | Path) ->
         fh.write("\n")
 
 
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(config: dict, input_paths: Iterable[str | Path], path: str | Path,
                    digests: dict[str, str] | None = None) -> None:
     """Record configuration, seed, and input digests; no timestamps, so
     identical runs produce identical manifests.  An input in ``digests``
-    (one read from a pipe, by path) is not read again."""
+    (one read from a pipe, or a TSV file, by path) is not read again."""
     digests = digests or {}
     manifest = {
         "config": config,

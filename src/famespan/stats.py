@@ -23,11 +23,12 @@ Conventions used throughout:
   their intervals.
 * A cell of at least _FORK_MIN_ELEMENTS index elements (reps * n) is
   shared out over the usable CPUs (forks.usable_cpus): its resamples are
-  cut on batch boundaries into one contiguous range per CPU, the process
-  evaluates the first range while forked children (forks.Children)
-  evaluate the others and send back each statistic's replicate values and
-  ok-flags, and these are joined in resample order.  Every replicate and
-  interval is therefore that of a one-process run.
+  cut on batch boundaries into one contiguous range per CPU, and
+  forks.shares() runs one task per range.  The process evaluates the first
+  range while a forked child per other range evaluates that one and
+  pickles back each statistic's replicate values and ok-flags; the shares
+  are joined in resample order.  Every replicate and interval is
+  therefore that of a one-process run.
 """
 
 from __future__ import annotations
@@ -362,19 +363,13 @@ def _rep_ranges(reps: int, n: int) -> list[tuple[int, int]]:
 def _shared_replicates(
     arr: np.ndarray, statistics: Sequence[Statistic], reps: int, seed: int
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """_bootstrap_replicates of a whole cell, its resample ranges but the
-    first evaluated by forked children (forks.Children) and joined in
-    resample order."""
-    (_, count), *others = _rep_ranges(reps, arr.size)
-    if not others:
-        return _bootstrap_replicates(arr, statistics, reps, seed)
-    from .forks import Children, result
-    with Children() as children:
-        pipes = [children.fork(partial(_bootstrap_replicates, arr, statistics, k, seed, first))
-                 for first, k in others]
-        parts = [_bootstrap_replicates(arr, statistics, count, seed)]
-        parts += [result(pipe, f"the bootstrap of resamples {first} to {first + k - 1}")
-                  for pipe, (first, k) in zip(pipes, others)]
+    """_bootstrap_replicates of a whole cell, one task per resample range
+    (forks.shares: the first range in the process, each other in a forked
+    child), joined in resample order."""
+    from .forks import shares
+    ranges = _rep_ranges(reps, arr.size)
+    tasks = [partial(_bootstrap_replicates, arr, statistics, count, seed, first) for first, count in ranges]
+    parts = shares(tasks, lambda k: f"the bootstrap of resamples {ranges[k][0]} to {sum(ranges[k]) - 1}")
     return {
         name: (np.concatenate([part[name][0] for part in parts]),
                np.concatenate([part[name][1] for part in parts]))

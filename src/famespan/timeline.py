@@ -10,13 +10,12 @@ computation.
 from __future__ import annotations
 
 import math
-import pickle
 from fractions import Fraction
-from typing import BinaryIO, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus_io import MAX_COUNT, Block, receive_array, send_array
+from .corpus_io import MAX_COUNT, Block
 from .dates import Timestamp, epoch_us
 from .errors import DataError
 from .name_extract import Mention
@@ -115,19 +114,19 @@ class MentionColumns:
     def shard(self) -> "MentionColumns":
         return MentionColumns()
 
-    def send(self, fh: BinaryIO) -> None:
-        pickle.dump(list(self.codes), fh)
-        for column in (self.name_code, self.count, self.doc_us, self.doc_size):
-            send_array(fh, column)
+    def held(self) -> tuple:
+        """The names in code order and each column's bytes (see _Keyed.held)."""
+        columns = (self.name_code, self.count, self.doc_us, self.doc_size)
+        return list(self.codes), *(column.tobytes() for column in columns)
 
-    def receive(self, fh: BinaryIO) -> None:
+    def merge(self, held: tuple) -> None:
         """Append a shard's columns, its name codes renumbered by one
-        lookup per distinct name and one gather per piece."""
-        names = pickle.load(fh)
+        lookup per distinct name and one gather."""
+        names, name_code, *columns = held
         recode = np.fromiter(map(self.codes.__getitem__, names), np.int32, len(names))
-        receive_array(fh, self.name_code, lambda piece: recode[np.frombuffer(piece, np.int32)].tobytes())
-        for column in (self.count, self.doc_us, self.doc_size):
-            receive_array(fh, column)
+        self.name_code.frombytes(recode[np.frombuffer(name_code, np.int32)].view(np.uint8))
+        for column, values in zip((self.count, self.doc_us, self.doc_size), columns):
+            column.frombytes(values)
 
 
 def build_timelines(

@@ -390,6 +390,32 @@ def test_manifest_digest_of_a_corpus_read_from_a_pipe(tmp_path, corpus_path):
     assert pipe_manifest["inputs"] == {str(tmp_path / "corpus.pipe"): digest}
 
 
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_a_tsv_input_is_hashed_once(tmp_path, monkeypatch, ranges):
+    # the reader hashes a TSV file for its ids, and the manifest records
+    # that digest rather than reading the file again
+    from famespan import corpus_io, forks, report
+
+    tsv = tmp_path / "corpus.tsv"
+    tsv.write_text("".join(f"2005-{1 + i % 6:02d}-{1 + i % 28:02d}\tName {i % 9}\t{1 + i % 3}\n"
+                           for i in range(400)), encoding="utf-8")
+    original = report.sha256_file
+
+    def refusing(path):
+        if Path(path) == tsv:
+            raise AssertionError(f"{path} hashed a second time")
+        return original(path)
+
+    monkeypatch.setattr(report, "sha256_file", refusing)
+    monkeypatch.setattr(corpus_io, "_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(forks, "usable_cpus", lambda: ranges)
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(tsv), "--window", "2005-01", "2005-07", "--n-min", "20", "--seed", "7",
+                 "--reps", "20", "--filters", "all", "--min-mentions", "1", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {str(tsv): hashlib.sha256(tsv.read_bytes()).hexdigest()}
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_manifest_digest_of_a_word_list_read_from_a_pipe(tmp_path):
     raw, gaz = _raw_corpus(tmp_path), tmp_path / "gaz.txt"

@@ -7,6 +7,9 @@ class of a program module, and each method of such a class, must be
 referenced somewhere in the program modules outside its own definition:
 a name that only the tests use belongs beside the oracles in synth.py.
 PUBLIC lists the library API that the acceptance suite calls directly.
+
+Processes are forked, piped to, pinned, killed and reaped in forks.py
+only: no other program module may use the os functions in PROCESS_CALLS.
 """
 
 import ast
@@ -17,6 +20,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "famespan"
 REFERENCE_MODULES = {"synth", "fixtures"}
 PUBLIC = {"stats.bootstrap", "timeline.Timeline.from_pairs"}
+PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill", "sched_setaffinity"}
 
 
 def _program_modules() -> dict[str, ast.Module]:
@@ -92,3 +96,31 @@ def test_the_guard_sees_an_unused_definition(tmp_path, monkeypatch):
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert sorted(_unreferenced()) == ["stray.Kind", "stray.Kind.method", "stray.entry", "stray.lonely",
                                        "stray.shadows"]
+
+
+def _process_calls() -> list[str]:
+    """module.os-function of each use of a PROCESS_CALLS function, as
+    ``os.name`` or imported from os, outside forks.py."""
+    found = []
+    for module, tree in _program_modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{module}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{module}.{alias.name}" for alias in node.names if alias.name in PROCESS_CALLS]
+    return sorted(found)
+
+
+def test_only_the_fork_helper_forks():
+    assert [call for call in _process_calls() if not call.startswith("forks.")] == []
+    assert {call.split(".")[1] for call in _process_calls()} == PROCESS_CALLS
+
+
+def test_the_guard_sees_a_stray_fork(tmp_path, monkeypatch):
+    (tmp_path / "stray.py").write_text(
+        "import os\nfrom os import kill, getpid\n\n\ndef spawn():\n    pid = os.fork()\n"
+        "    os.sched_setaffinity(0, {0})\n    kill(pid, 9)\n    return os.getpid() + getpid()\n",
+        encoding="utf-8")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert _process_calls() == ["stray.fork", "stray.kill", "stray.sched_setaffinity"]
