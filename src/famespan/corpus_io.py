@@ -83,7 +83,7 @@ _scan_json = json.JSONDecoder().scan_once
 
 SCHEMAS = ("raw", "pretagged")
 
-# Mention counts are held as int64 (timeline.MentionColumns).
+# The largest mention count, an int64's (see timeline.MentionColumns).
 MAX_COUNT = 2**63 - 1
 
 

@@ -30,15 +30,24 @@ import threading
 from typing import BinaryIO, Callable, Sequence
 
 
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"  # a container's cgroup v2 quota: "<quota> <period>" or "max ..."
+
+
 def usable_cpus() -> int:
     """How many processes may share one job: the CPUs this process may run
-    on, or 1 where os.fork is missing or another Python thread runs."""
+    on, within os.process_cpu_count() (Python 3.13+) and the cgroup's CPU
+    quota rounded up; 1 where os.fork is missing or another thread runs."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        cpus = min(cpus, os.process_cpu_count() or cpus)
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+        with open(_CPU_MAX, encoding="ascii") as fh:
+            quota, period = fh.read().split()
+        return min(cpus, -(-int(quota) // int(period)))
+    except (OSError, ValueError):  # no quota file, or "max"
+        return cpus
 
 
 def shares(tasks: Sequence[Callable[[], object]], what: Callable[[int], str]) -> list:
@@ -93,7 +102,11 @@ def _fork(task: Callable[[], object], cpu: int | None) -> tuple[int, BinaryIO]:
                     outcome = (None, task())
                 except Exception as exc:
                     outcome = (exc, None)
-                pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+                try:
+                    pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # said while the pipe is open: the parent then kills this child
+                    os.write(2, f"famespan: a forked child's result did not pickle: {exc!r}\n".encode())
+                    raise
             code = 0
         finally:
             os._exit(code)

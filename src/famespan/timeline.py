@@ -79,27 +79,23 @@ class _Codes(dict):
 
 class MentionColumns:
     """Mentions in flat columns, added a document or a block at a time: an
-    interned name code and a count per mention, an epoch-µs time per
-    document.  Name codes follow the names' first appearance.  As a
-    corpus_io.Sink, a byte range's columns are appended whole."""
+    interned name code and a count per mention (see _add_counts), an
+    epoch-µs time per document.  Name codes follow the names' first
+    appearance.  As a corpus_io.Sink, a byte range's columns are appended
+    whole."""
 
     def __init__(self, mentions: Iterable[Mention] = ()):
         from array import array  # imported on use, so stats and report load less
         self.codes: dict[str, int] = _Codes()
-        self.name_code, self.count = array("i"), array("q")
+        self.name_code, self.count = array("i"), array("I")
         self.doc_us, self.doc_size = array("q"), array("i")
         for name, ts, count in mentions:
             self.add(ts, ((name, count),))
 
     def add(self, ts: Timestamp | int, mentions: Sequence[tuple[str, int]]) -> None:
         """One document's (name, count) mentions at time ``ts``."""
-        codes, name_code, count = self.codes, self.name_code, self.count
-        for name, n in mentions:
-            code = codes.get(name)
-            if code is None:
-                code = codes[name] = len(codes)
-            name_code.append(code)
-            count.append(n)
+        self.name_code.fromlist([self.codes[name] for name, _ in mentions])
+        self._add_counts([n for _, n in mentions])
         self.doc_us.append(ts if isinstance(ts, int) else epoch_us(ts))
         self.doc_size.append(len(mentions))
 
@@ -107,26 +103,42 @@ class MentionColumns:
         """A block of pre-tagged documents: its names interned with one
         map, every column appended from a list."""
         self.name_code.fromlist(list(map(self.codes.__getitem__, block.names)))
-        self.count.fromlist(block.counts)
+        self._add_counts(block.counts)
         self.doc_us.fromlist([stamp.us for stamp in block.stamps])
         self.doc_size.fromlist(block.sizes)
+
+    def _add_counts(self, counts: list[int]) -> None:
+        """Append counts in 4 bytes each, or in 8 from the first of 2**32 on."""
+        try:
+            self.count.fromlist(counts)  # appends nothing if it raises
+        except OverflowError:
+            from array import array
+            self.count = array("q", self.count)
+            self.count.fromlist(counts)
 
     def shard(self) -> "MentionColumns":
         return MentionColumns()
 
     def held(self) -> tuple:
-        """The names in code order and each column's bytes (see _Keyed.held)."""
+        """The names in code order, the counts' typecode and each column's bytes (see _Keyed.held)."""
         columns = (self.name_code, self.count, self.doc_us, self.doc_size)
-        return list(self.codes), *(column.tobytes() for column in columns)
+        return list(self.codes), self.count.typecode, *(column.tobytes() for column in columns)
 
     def merge(self, held: tuple) -> None:
         """Append a shard's columns, its name codes renumbered by one
         lookup per distinct name and one gather."""
-        names, name_code, *columns = held
+        names, typecode, name_code, count, *columns = held
         recode = np.fromiter(map(self.codes.__getitem__, names), np.int32, len(names))
         self.name_code.frombytes(recode[np.frombuffer(name_code, np.int32)].view(np.uint8))
-        for column, values in zip((self.count, self.doc_us, self.doc_size), columns):
+        if typecode == self.count.typecode:
+            self.count.frombytes(count)
+        else:  # one side holds a count of 2**32 or more
+            self._add_counts(np.frombuffer(count, typecode).tolist())
+        for column, values in zip((self.doc_us, self.doc_size), columns):
             column.frombytes(values)
+
+
+_SLICE_MENTIONS, _MAX_SLICES = 1 << 17, 16  # see build_timelines
 
 
 def build_timelines(
@@ -134,49 +146,54 @@ def build_timelines(
 ) -> dict[str, Timeline]:
     """Aggregate mentions into per-name timelines (order-independent merge).
 
-    ``keep`` selects documents of a MentionColumns.  Each mention becomes
-    one int64 key, name code * n_times + rank of its document's time among
-    the distinct kept times; mentions of dropped documents get a key above
-    every kept one.  One argsort of that key, add.reduceat over each run of
-    equal keys, and every timeline is a slice of the merged arrays.  The
-    sort holds 2.5 int64 words per mention; summing holds 2 per mention
-    plus 2 per distinct (name, time) pair.  A name whose counts sum to
-    2**63 or more raises DataError.
+    ``keep`` selects documents of a MentionColumns.  Each mention gets the
+    int32 rank of its document's time among the distinct kept times.  The
+    name codes are cut, in code order, into slices of about _SLICE_MENTIONS
+    mentions, at most _MAX_SLICES (each a pass over the columns); per slice
+    one argsort of an int64 key per kept mention, code * n_times + rank,
+    and add.reduceat over each run of equal keys merge its timelines.  This
+    holds 6 bytes per mention, and 28 per mention of the slice being
+    sorted.  A name whose counts sum to 2**63 or more raises DataError.
     """
     cols = mentions if isinstance(mentions, MentionColumns) else MentionColumns(mentions)
     size, doc_us = np.frombuffer(cols.doc_size, np.int32), np.frombuffer(cols.doc_us, np.int64)
-    code, count = np.frombuffer(cols.name_code, np.int32), np.frombuffer(cols.count, np.int64)
+    code, count = np.frombuffer(cols.name_code, np.int32), np.frombuffer(cols.count, cols.count.typecode)
     picked = slice(None) if keep is None else keep
     n_kept = int(size[picked].sum(dtype=np.int64))
     if not n_kept:
         return {}
-    # a dropped document's rank puts its mentions' keys above every kept key
-    rank = np.full(len(doc_us), len(cols.codes) * len(doc_us), dtype=np.int64)
+    rank = np.full(len(doc_us), -1, dtype=np.int32)  # -1: a dropped document
     times, rank[picked] = np.unique(doc_us[picked], return_inverse=True)
-    n_times = len(times)
-    key = code.astype(np.int64)
-    key *= n_times
-    key += np.repeat(rank, size)
-    del rank
-    # the narrowest index type that holds every position (4 bytes below
-    # 2**32 mentions) keeps the gathers at 2.5 words per mention
-    order = np.argsort(key)[:n_kept].astype(np.min_scalar_type(len(key)))
-    key = key[order]
-    count = count[order]
-    del order
-    names = list(cols.codes)
-    if int(count.max()) * n_kept >= 2**63:
-        _reject_overflow(names, key // n_times, count)
-    first = _run_starts(key)
-    key = key[first]
-    count = np.add.reduceat(count, first)
-    del first
-    code = key // n_times
-    cut = _run_starts(code)
-    times = times[np.remainder(key, n_times, out=key)]
-    bounds = np.append(cut, len(times)).tolist()
-    return {names[c]: Timeline(names[c], times[a:b], count[a:b])
-            for c, a, b in zip(code[cut].tolist(), bounds, bounds[1:])}
+    rank = np.repeat(rank, size)
+    n_times, n_slices = len(times), min(_MAX_SLICES, -(-n_kept // _SLICE_MENTIONS))
+    # a code's slice: its share of lower-coded mentions; a dropped document's mentions are in none
+    per_code = np.zeros(len(cols.codes), np.int64)
+    np.add.at(per_code, code, 1)  # bincount would copy the codes to intp first
+    part = ((np.cumsum(per_code) - per_code) * n_slices // len(code)).astype(np.uint8)[code]
+    part[rank < 0] = n_slices
+    names, timelines = list(cols.codes), {}
+    for at in (np.flatnonzero(part == s) for s in range(n_slices)):
+        if not len(at):
+            continue
+        key = code[at].astype(np.int64) * n_times + rank[at]
+        counts = count[at]
+        del at
+        order = np.argsort(key)
+        key = key[order]
+        counts = counts[order]
+        del order
+        if int(counts.max()) * len(counts) >= 2**63:
+            _reject_overflow(names, key // n_times, counts)
+        first = _run_starts(key)
+        key = key[first]
+        counts = np.add.reduceat(counts, first, dtype=np.int64)
+        first = _run_starts(key // n_times)  # each name's first (name, time) pair
+        slice_names = [names[c] for c in (key[first] // n_times).tolist()]
+        pair_times = times[np.remainder(key, n_times, out=key)]
+        bounds = np.append(first, len(key)).tolist()
+        timelines.update((name, Timeline(name, pair_times[a:b], counts[a:b]))
+                         for name, a, b in zip(slice_names, bounds, bounds[1:]))
+    return timelines
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ before, and no child is left unreaped.
 """
 
 import os
+import re
 import time
 from contextlib import contextmanager
 
@@ -69,11 +70,47 @@ def test_the_earliest_failing_task_raises():
 
 
 @needs_proc
-def test_a_result_that_does_not_pickle_is_an_error():
+def test_a_result_that_does_not_pickle_is_an_error(capfd):
     # a lambda, as a sink's held() would return if it handed back a
-    # ListSink's convert
+    # ListSink's convert; the child says why on stderr
     started = time.monotonic()
     with _leaves_nothing_behind(), \
             pytest.raises(ChildProcessError, match="^share 2 ended without a result$"):
         forks.shares([lambda: 0, lambda: 1, lambda: [b"x" * (1 << 18), lambda block: block]], _share)
     assert time.monotonic() - started < 60
+    assert re.fullmatch(r"famespan: a forked child's result did not pickle: "
+                        r"\w+Error\(.Can't pickle .*<lambda>.*\)\n", capfd.readouterr().err)
+
+
+def _affinity() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("cpu_max, cap", [("max 100000\n", None), (None, None), ("100000 100000\n", 1),
+                                          ("150000 100000\n", 2), ("25000 100000\n", 1)],
+                         ids=["max", "missing", "one", "one-and-a-half", "a-quarter"])
+def test_usable_cpus_keep_to_the_cgroup_quota(tmp_path, monkeypatch, cpu_max, cap):
+    path = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        path.write_text(cpu_max, encoding="ascii")
+    monkeypatch.setattr(forks, "_CPU_MAX", str(path))
+    assert forks.usable_cpus() == min(_affinity(), cap or _affinity())
+
+
+def test_a_quota_of_one_cpu_forks_nothing(tmp_path, monkeypatch):
+    from famespan import corpus_io
+    from famespan.corpus_io import ListSink, read_documents
+
+    def fork():
+        raise AssertionError("forked under a one-CPU quota")
+
+    quota, corpus = tmp_path / "cpu.max", tmp_path / "corpus.jsonl"
+    quota.write_text("100000 100000\n", encoding="ascii")
+    corpus.write_text("".join(f'{{"id": "d{i}", "date": "2005-03-01", "mentions": [["Ada", 1]]}}\n'
+                              for i in range(200)), encoding="utf-8")
+    monkeypatch.setattr(forks, "_CPU_MAX", str(quota))
+    monkeypatch.setattr(corpus_io, "_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "fork", fork)
+    sink = ListSink(lambda block: block.ids)
+    read_documents(corpus, "pretagged").read(sink)
+    assert len(sink.items) == 200

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famespan import timeline
 from famespan.dates import epoch_us
 from famespan.errors import DataError
 from famespan.name_extract import Mention
@@ -143,6 +144,12 @@ def test_from_pairs_count_outside_int64_mention_range_rejected(count):
         Timeline.from_pairs("Ada", [(date(2005, 3, 2), 1), (date(2005, 3, 1), count)])
 
 
+def test_from_pairs_takes_the_largest_count():
+    # beyond the 4 bytes a count is first held in
+    t = Timeline.from_pairs("Ada", [(date(2005, 3, 2), 2**63 - 1)])
+    assert t.counts.tolist() == [2**63 - 1] and t.total == 2**63 - 1
+
+
 def test_empty_timeline_rejected():
     with pytest.raises(ValueError):
         Timeline("x", np.array([], dtype=np.int64), np.array([], dtype=np.int64))
@@ -186,6 +193,32 @@ def test_merge_matches_counter_oracle(docs, data):
         assert t.total == sum(c for _, c in pairs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(documents, st.data())
+def test_merge_in_slices_of_one_mention_changes_nothing(docs, data):
+    # up to _MAX_SLICES slices, against the one slice these sizes get
+    keep = data.draw(st.none() | st.lists(st.booleans(), min_size=len(docs), max_size=len(docs)))
+    keep = None if keep is None else np.array(keep, dtype=bool)
+    cols = MentionColumns()
+    for base, day, tod, mentions in docs:
+        cols.add(base + day * DAY_US + tod, mentions)
+    whole = build_timelines(cols, keep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timeline, "_SLICE_MENTIONS", 1)
+        sliced = build_timelines(cols, keep)
+    assert list(sliced) == list(whole) and sliced == whole
+
+
+def test_the_first_name_to_overflow_is_rejected_across_slices(monkeypatch):
+    # each name in a slice of its own: B (code 1) and C (code 2) both
+    # reach 2**63, and B is named, as in one slice
+    monkeypatch.setattr(timeline, "_SLICE_MENTIONS", 1)
+    mentions = [Mention("A", D1, 5), Mention("B", D1, 2**62), Mention("B", D2, 2**62),
+                Mention("C", D1, 2**62), Mention("C", D1, 2**62)]
+    with pytest.raises(DataError, match="^mentions of 'B' sum to 9223372036854775808, "):
+        build_timelines(mentions)
+
+
 def test_count_sum_reaching_2_63_is_rejected_at_one_time():
     mentions = [Mention("B", D1, 5), Mention("Ada Lovelace", D1, 2**62), Mention("Ada Lovelace", D1, 2**62)]
     with pytest.raises(DataError, match="Ada Lovelace"):
@@ -217,10 +250,15 @@ def test_yearly_counts_are_exact_integers():
     assert top_k_by_year(yearly_counts(tls), 1) == {"Bob"}
 
 
-def test_merge_holds_at_most_three_words_per_mention():
+@pytest.mark.parametrize("time_of_day", [False, True], ids=["whole-days", "time-of-day"])
+def test_merge_holds_few_words_per_mention(time_of_day):
     # about 1M mentions shaped like a pre-tagged news corpus: 200,000
     # documents of 5 mentions over four years, each name active on a
-    # 60-day stretch, and the sampler dropping about 5% of the documents
+    # 60-day stretch, and the sampler dropping about 5% of the documents.
+    # Whole days: at most 1.75 int64 words per mention in all.  A random
+    # microsecond of the day makes nearly every mention its own (name,
+    # time) pair: at most 1.5 words per mention beyond the arrays of the
+    # timelines returned.
     rng = np.random.default_rng(8)
     n_docs, per_doc, n_names = 200_000, 5, 2_000
     start = np.sort(rng.integers(0, 1461, n_names))
@@ -231,10 +269,11 @@ def test_merge_holds_at_most_three_words_per_mention():
     for i in range(n_names):
         cols.codes[f"n{i}"]
     cols.name_code.frombytes(code.tobytes())
-    cols.count.frombytes(rng.integers(1, 4, code.size).tobytes())
-    cols.doc_us.frombytes((BASES_US[1] + day * DAY_US).tobytes())
-    cols.doc_size.frombytes(np.full(n_docs, per_doc, dtype=np.int32).tobytes())
+    cols.count.frombytes(rng.integers(1, 4, code.size).astype(cols.count.typecode).tobytes())
     keep = rng.random(n_docs) < 0.95
+    doc_us = BASES_US[1] + day * DAY_US + (rng.integers(0, DAY_US, n_docs) if time_of_day else 0)
+    cols.doc_us.frombytes(doc_us.tobytes())
+    cols.doc_size.frombytes(np.full(n_docs, per_doc, dtype=np.int32).tobytes())
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -242,6 +281,11 @@ def test_merge_holds_at_most_three_words_per_mention():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept_counts = np.frombuffer(cols.count, np.int64).reshape(n_docs, per_doc)[keep]
+    kept_counts = np.frombuffer(cols.count, cols.count.typecode).reshape(n_docs, per_doc)[keep]
     assert sum(t.total for t in tls.values()) == int(kept_counts.sum())
-    assert peak <= 3 * 8 * code.size
+    if time_of_day:
+        returned = sum(t.times_us.nbytes + t.counts.nbytes for t in tls.values())
+        assert returned >= 1.5 * 8 * code.size  # nearly a pair per mention
+        assert peak - returned <= 1.5 * 8 * code.size
+    else:
+        assert peak <= 1.75 * 8 * code.size
