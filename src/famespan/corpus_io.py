@@ -22,16 +22,18 @@ lines in the window become a Block of columns; records() flattens a
 block into ``(id, Stamp, payload)``, the payload being a raw line's text or
 the (names, counts) lists of a pre-tagged one.
 
-Lines end in LF, CRLF or CR.  Bytes are decoded _READ_BYTES at a time; a
-line that is not UTF-8, or whose JSON leaves a lone surrogate in its id,
-text or a name, is malformed.
+Lines end in LF, CRLF or CR.  Bytes are decoded in pieces of about
+_READ_BYTES, cut after a LF or a lone CR; a line that is not UTF-8, or
+whose JSON leaves a lone surrogate in its id, text or a name, is
+malformed.
 
-DocumentReader.read() feeds a whole file to a Sink.  A file of at least
-2 * _SHARD_MIN_BYTES is cut after newline bytes into up to one byte range
-per usable CPU, and forks.shares() runs one task per range: the process
-reads the first range into the sink, and a forked child per other range
-reads it into a sink.shard() of its own and pickles back its Tally and
-what that sink held().  The parent merges the shares in file order, so
+DocumentReader.read() feeds a whole file to a Sink.  A regular file is
+cut after LF bytes into forks.share_count byte ranges: one per
+_SHARD_MIN_BYTES and at most one per usable CPU, so a file without a LF
+is one range.  forks.shares() runs one task per range: the process reads
+the first range into the sink, and a forked child per other range reads
+it into a sink.shard() of its own and pickles back its Tally and what
+that sink held().  The parent merges the shares in file order, so
 sinks, ReadStats and error texts are those of a read in one process.  A
 file that is not regular (a pipe) is one range, read and hashed in the
 process.
@@ -351,16 +353,13 @@ class ListSink:
 
 
 def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
-    """The byte ranges a file is read in: one per _SHARD_MIN_BYTES of a
-    regular file, at most forks.usable_cpus(), each cut just after the
-    first "\\n" at or past an even share of the size; the last runs to the
-    end."""
+    """The byte ranges a file is read in, forks.share_count of a regular
+    file's size in _SHARD_MIN_BYTES, each cut just after the first "\\n" at
+    or past an even share of the size; the last runs to the end."""
+    from .forks import share_count
     info = os.fstat(fh.fileno())
     size = info.st_size if stat.S_ISREG(info.st_mode) else 0
-    n = size // _SHARD_MIN_BYTES
-    if n > 1:
-        from . import forks
-        n = min(forks.usable_cpus(), n)
+    n = share_count(size, _SHARD_MIN_BYTES)
     cuts = [0]
     for k in range(1, n):
         fh.seek(k * size // n)
@@ -373,7 +372,8 @@ def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
 
 def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
     """The next ``size`` bytes of ``fh`` (the rest of it if None) in pieces
-    of about _READ_BYTES, each but the last ending just after a "\\n"."""
+    of about _READ_BYTES, each but the last ending just after a "\\n" or a
+    lone "\\r", so that no "\\r\\n" is split."""
     pending: list = []
     while size is None or size > 0:
         data = fh.read(_READ_BYTES if size is None else min(size, _READ_BYTES))
@@ -382,6 +382,8 @@ def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
         if size is not None:
             size -= len(data)
         cut = data.rfind(b"\n") + 1
+        # a "\r" past the last "\n" and before the last byte ends a line
+        cut = data.rfind(b"\r", cut, len(data) - 1) + 1 or cut
         if cut:
             pending.append(memoryview(data)[:cut])
             yield b"".join(pending)

@@ -80,12 +80,20 @@ def sample_columns(
     """The keyed sampler over columns of month indices and keep scores
     (keep_scorer): the month volumes, the mask that keeps each document
     with its month's probability, and the kept count of each month."""
-    month_ids, inverse, n_t = np.unique(np.asarray(months), return_inverse=True, return_counts=True)
-    volumes = [MonthVolume(month_from_index(m), n) for m, n in zip(month_ids.tolist(), n_t.tolist())]
+    months = np.asarray(months, dtype=np.int32)
+    first = int(months.min()) if months.size else 0
+    offsets = months - first  # a century is about 1,200 offsets
+    n_t = np.bincount(offsets)
+    present = np.flatnonzero(n_t)
+    volumes = [MonthVolume(month_from_index(first + m), n)
+               for m, n in zip(present.tolist(), n_t[present].tolist())]
     probs = keep_probabilities(volumes, cfg)
+    p = np.zeros(n_t.size)
+    p[present] = list(probs.values())
     # scores lie in [0, 1), so this is p >= 1 or (p > 0 and score < p)
-    keep = np.asarray(scores) < np.array(list(probs.values()), dtype=np.float64)[inverse]
-    return volumes, keep, dict(zip(probs, np.bincount(inverse[keep], minlength=len(probs)).tolist()))
+    keep = np.asarray(scores) < p[offsets]
+    kept = np.bincount(offsets[keep], minlength=n_t.size)[present]
+    return volumes, keep, dict(zip(probs, kept.tolist()))
 
 
 def write_sampling_report(

@@ -21,14 +21,15 @@ Conventions used throughout:
   of a table cell on the same sorted resamples, and a statistic that fails
   too often reports its own UnstableStatistic without costing the others
   their intervals.
-* A cell of at least _FORK_MIN_ELEMENTS index elements (reps * n) is
-  shared out over the usable CPUs (forks.usable_cpus): its resamples are
-  cut on batch boundaries into one contiguous range per CPU, and
-  forks.shares() runs one task per range.  The process evaluates the first
-  range while a forked child per other range evaluates that one and
-  pickles back each statistic's replicate values and ok-flags; the shares
-  are joined in resample order.  Every replicate and interval is
-  therefore that of a one-process run.
+* A cell's resamples are shared out over forks.share_count ranges, one
+  per _FORK_MIN_ELEMENTS index elements (reps * n) and at most one per
+  usable CPU, so a cell of fewer than two floors' elements stays whole.
+  The ranges are cut on batch boundaries, and forks.shares() runs one
+  task per range.  The process evaluates the first range while a forked
+  child per other range evaluates that one and pickles back each
+  statistic's replicate values and ok-flags; the shares are joined in
+  resample order.  Every replicate and interval is therefore that of a
+  one-process run.
 """
 
 from __future__ import annotations
@@ -231,11 +232,12 @@ _S27, _S30, _S31, _S32 = (np.uint64(k) for k in (27, 30, 31, 32))
 # is 32 bytes per element, 2 MiB here, so a batch fits a 2 MiB per-core L2
 # cache and a fresh process does not fault a new array in for every pass.
 _BATCH_ELEMENTS = 1 << 16
-# A cell of at least this many index elements (reps * n) has its resamples
-# shared out over the usable CPUs (_rep_ranges).  At about 20 ns an element
-# a cell this size is about 21 ms of work, and on two vCPUs the fork, the
-# child's start, the pipe and the reap cost about what the second CPU saves
-# (21.5 -> 22.2 ms at n=150); a 25,000-rep cell at n=150 went 86 -> 58 ms.
+# A cell gets one share per this many index elements (reps * n), at most
+# one per usable CPU (_rep_ranges).  At about 20 ns an element that is
+# about 21 ms of work.  On two vCPUs the fork, the child's start, the pipe
+# and the reap cost about what the second CPU saves on a cell of one such
+# share (21.5 -> 22.2 ms at n=150), so a cell splits only from two; a
+# 25,000-rep cell at n=150 went 86 -> 58 ms.
 _FORK_MIN_ELEMENTS = 1 << 20
 
 
@@ -346,16 +348,14 @@ def _bootstrap_replicates(
 
 
 def _rep_ranges(reps: int, n: int) -> list[tuple[int, int]]:
-    """The (first, count) resample ranges of a cell: one per usable CPU
-    once the cell holds _FORK_MIN_ELEMENTS index elements, else one.  Cuts
-    fall on batch boundaries, so every range hashes and sorts the batches
-    a one-range run would."""
+    """The (first, count) resample ranges of a cell: forks.share_count of
+    its reps * n index elements in _FORK_MIN_ELEMENTS, at most one per
+    batch.  Cuts fall on batch boundaries, so every range hashes and sorts
+    the batches a one-range run would."""
+    from .forks import share_count
     batch = _batch_reps(reps, n)
     batches = -(-reps // batch)
-    parts = 1
-    if reps * n >= _FORK_MIN_ELEMENTS:
-        from . import forks
-        parts = min(forks.usable_cpus(), batches)
+    parts = min(share_count(reps * n, _FORK_MIN_ELEMENTS), batches)
     cuts = [k * batches // parts * batch for k in range(parts)] + [reps]
     return [(start, end - start) for start, end in zip(cuts, cuts[1:])]
 

@@ -4,6 +4,7 @@ from datetime import date, datetime
 
 import pytest
 
+from famespan import corpus_io
 from famespan.corpus_io import (
     AnalysisWindow,
     ListSink,
@@ -221,3 +222,40 @@ def test_line_endings_and_decoding_faults(tmp_path):
         "c.jsonl:11: invalid UTF-8",
         "c.jsonl:22: string holds a lone surrogate (an unpaired \\ud800-\\udfff escape)",
     ]
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["jsonl", "tsv"])
+def test_lone_cr_line_ends_are_decoded_in_bounded_pieces(tmp_path, monkeypatch, tsv):
+    # pieces are cut after a lone CR as after a LF, and never inside a CRLF,
+    # so line numbers, blank counts and TSV ids are those of the LF file
+    def line(i: int) -> bytes:
+        if i % 9 == 4:
+            return b""
+        if i == 50:
+            return b"{broken"
+        if tsv:
+            return f"2001-05-{1 + i % 28:02d}\tAda Lovelace\t{1 + i}".encode()
+        return json.dumps({"id": f"d{i}", "date": "2001-05-02", "mentions": [["Ada", 1 + i]]}).encode()
+
+    monkeypatch.setattr(corpus_io, "_READ_BYTES", 256)
+    lines = [line(i) for i in range(300)]
+    # no lone CR is followed by a LF, which would make it a CRLF before a blank line
+    ends = {"lf": [b"\n"], "cr": [b"\r"], "mixed": [b"\r\n", b"\r", b"\r\n", b"\n", b"\r"]}
+    results = {}
+    for name, cycle in ends.items():
+        (tmp_path / name).mkdir()
+        f = tmp_path / name / "c.txt"
+        f.write_bytes(b"".join(line + cycle[i % len(cycle)] for i, line in enumerate(lines)))
+        with open(f, "rb") as fh:
+            pieces = list(corpus_io._pieces(fh, None))
+        assert b"".join(pieces) == f.read_bytes()
+        assert max(map(len, pieces)) <= 2 * corpus_io._READ_BYTES
+        assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(pieces, pieces[1:]))
+        reader, docs = read_all(f, "pretagged")
+        ids = [doc_id.rsplit(":", 1)[-1] for doc_id, _, _ in docs]
+        results[name] = ids, [d[1:] for d in docs], vars(reader.stats)
+    assert results["cr"] == results["lf"] and results["mixed"] == results["lf"]
+    ids, _, stats = results["lf"]
+    assert ids[:4] == (["1", "2", "3", "4"] if tsv else ["d0", "d1", "d2", "d3"]) and len(ids) == 266
+    assert (stats["lines"], stats["blank"], stats["malformed"]) == (300, 33, 1)
+    assert [e.split(":")[:2] for e in stats["errors"]] == [["c.txt", "51"]]

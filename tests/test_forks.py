@@ -2,7 +2,8 @@
 
 Each case checks the process hygiene the reader and the bootstrap rely on:
 afterwards the open file descriptors and the CPU mask are those from
-before, and no child is left unreaped.
+before, and no child is left unreaped.  share_count is the one rule for
+how many shares a job gets.
 """
 
 import os
@@ -60,6 +61,30 @@ def test_results_come_back_in_task_order():
         results = forks.shares([lambda k=k: (k, os.getpid()) for k in range(3)], _share)
     assert [k for k, _ in results] == [0, 1, 2]
     assert results[0][1] == parent and len({parent, results[1][1], results[2][1]}) == 3
+
+
+@needs_proc
+def test_shares_leave_cpu_placement_to_the_kernel(monkeypatch):
+    def pin(pid, cpus):
+        raise AssertionError("pinned a process to CPUs")
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+    with _leaves_nothing_behind():
+        assert forks.shares([lambda k=k: k for k in range(3)], _share) == [0, 1, 2]
+
+
+def test_a_share_per_floor_up_to_the_usable_cpus(monkeypatch):
+    def uncounted():
+        raise AssertionError("usable_cpus() asked below two floors")
+
+    monkeypatch.setattr(forks, "usable_cpus", uncounted)
+    assert [forks.share_count(work, 10) for work in (0, 1, 10, 19)] == [1, 1, 1, 1]
+    monkeypatch.setattr(forks, "usable_cpus", lambda: 2)
+    assert [forks.share_count(work, 10) for work in (20, 29, 30, 1000)] == [2, 2, 2, 2]
+    monkeypatch.setattr(forks, "usable_cpus", lambda: 3)
+    assert [forks.share_count(work, 10) for work in (20, 30, 39, 1000)] == [2, 3, 3, 3]
+    monkeypatch.setattr(forks, "usable_cpus", lambda: 1)
+    assert forks.share_count(1000, 10) == 1
 
 
 @needs_proc

@@ -1,9 +1,9 @@
 """Sharing a bootstrap cell's resamples out over forked children changes nothing.
 
-Rep ranges are forced by lowering stats._FORK_MIN_ELEMENTS and by fixing
-the number of usable CPUs that forks.usable_cpus() reports; the replicate
-arrays, the intervals and every artifact of 2 and 3 ranges must equal
-those of one.  The hygiene tests check that every child is reaped and
+Rep ranges are forced by lowering stats._FORK_MIN_ELEMENTS, the index
+elements per share, and by fixing the number of usable CPUs that
+forks.usable_cpus() reports; the replicate arrays, the intervals and
+every artifact of 2 and 3 ranges must equal those of one.  The hygiene tests check that every child is reaped and
 every pipe closed when a child or the parent fails, and that nothing
 forks beside another thread.
 """
@@ -29,8 +29,8 @@ STATISTICS = [QuantileStatistic(q) for q in (0.5, 0.9, 0.99)] + [PowerLawAlphaSt
 
 @contextmanager
 def rep_ranges(cpus: int, floor: int = 1, batch_elements: int | None = None):
-    """Cells of at least ``floor`` index elements split over ``cpus``
-    ranges (fewer if they have fewer batches)."""
+    """Cells split into one range per ``floor`` index elements, at most
+    ``cpus`` (fewer if they have fewer batches)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forks, "usable_cpus", lambda: cpus)
         mp.setattr(stats, "_FORK_MIN_ELEMENTS", floor)
@@ -62,8 +62,8 @@ def test_rep_ranges_do_not_change_replicates(n, reps, rows_per_batch, cpus, belo
     with rep_ranges(1, batch_elements=batch_elements):
         whole = stats._bootstrap_replicates(values, STATISTICS, reps, seed)
         one = _bootstrap_many(values, reps, seed)
-    # a cell exactly at the floor is split; one element short of it is not
-    floor = reps * n + below_floor
+    # a cell of ``cpus`` floors or more splits ``cpus`` ways; one short of two floors stays whole
+    floor = reps * n // 2 + 1 if below_floor else max(1, reps * n // cpus)
     with rep_ranges(cpus, floor, batch_elements):
         ranges = stats._rep_ranges(reps, n)
         shared = stats._shared_replicates(values, STATISTICS, reps, seed)
@@ -135,7 +135,7 @@ def _open_fds() -> list[str]:
 
 
 def _assert_no_children(cpus: set | None) -> None:
-    """Every child reaped, and the parent's CPU mask ``cpus`` restored."""
+    """Every child reaped, and the parent's CPU mask still ``cpus``."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert cpus is None or os.sched_getaffinity(0) == cpus
