@@ -15,14 +15,19 @@ independent search structure.  oracle_phrases walks every token of a raw
 text, which the recognizer's candidate scan must match phrase for phrase.
 window_filter, month_volumes and sample_uniform are the ingest stages one
 Document at a time, which the program runs over columns instead.
+reference_read reads a corpus file's bytes one line at a time by the
+README's file-format rules, which the reader's pieces, byte ranges and
+block checks must match record for record and count for count.
 """
 
 from __future__ import annotations
 
+import codecs
+import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -292,6 +297,102 @@ def sample_uniform(
             if kept_counts is not None:
                 kept_counts[month] = kept_counts.get(month, 0) + 1
             yield doc
+
+
+INVALID_UTF8 = "invalid UTF-8"
+LONE_SURROGATE = "string holds a lone surrogate (an unpaired \\ud800-\\udfff escape)"
+
+
+@dataclass
+class ReferenceRead:
+    """What reading one corpus file gives: the (id, timestamp, text or
+    [(name, count), ...]) of each well-formed line in the window; the
+    counts of lines, blank, out-of-window and malformed lines; each
+    malformed line's number with its error text if it is a decoding fault
+    (INVALID_UTF8 or LONE_SURROGATE), else None; a TSV file's sha256; and
+    whether more than 10% of the non-blank lines are malformed."""
+
+    records: list = field(default_factory=list)
+    lines: int = 0
+    blank: int = 0
+    out_of_window: int = 0
+    malformed: list = field(default_factory=list)
+    digest: str | None = None
+    too_many_malformed: bool = False
+
+
+def reference_read(data: bytes, schema: str, window: AnalysisWindow | None = None) -> ReferenceRead:
+    """The reading of a whole file's bytes by the README's "File formats"
+    rules, one line at a time: one leading byte-order mark dropped, lines
+    ended by CRLF, CR or LF, each decoded as strict UTF-8 and blank when
+    str.strip() leaves nothing.  A pre-tagged file is TSV unless its first
+    non-blank line starts with "{"."""
+    lines = re.split(rb"\r\n|\r|\n", data.removeprefix(codecs.BOM_UTF8))
+    if not lines[-1]:
+        lines.pop()
+    shown = [line.decode("utf-8", "replace").strip() for line in lines]
+    tsv = schema == "pretagged" and not next((text for text in shown if text), "{").startswith("{")
+    out = ReferenceRead(digest=hashlib.sha256(data).hexdigest() if tsv else None)
+    for n, (line, text) in enumerate(zip(lines, shown), 1):
+        out.lines += 1
+        if not text:
+            out.blank += 1
+            continue
+        try:
+            line = line.decode("utf-8").strip()
+            if out.digest:
+                timestamp, payload = _reference_tsv(line)
+                doc_id = f"tsv:{out.digest[:16]}:{n}"
+            else:
+                doc_id, timestamp, payload = _reference_json(line, schema)
+        except UnicodeDecodeError:
+            out.malformed.append((n, INVALID_UTF8))
+        except UnicodeEncodeError:
+            out.malformed.append((n, LONE_SURROGATE))
+        except (ValueError, KeyError, TypeError):
+            out.malformed.append((n, None))
+        else:
+            if window is None or window.contains(timestamp):
+                out.records.append((doc_id, timestamp, payload))
+            else:
+                out.out_of_window += 1
+    out.too_many_malformed = 10 * len(out.malformed) > out.lines - out.blank
+    return out
+
+
+def _reference_json(line: str, schema: str) -> tuple:
+    """A JSON line's fields, checked in the reader's order: the object, its
+    id, its date, the payload's type, lone surrogates (UnicodeEncodeError),
+    then each mention."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict) or not isinstance(rec["id"], str) or not rec["id"]:
+        raise ValueError("not an object with a non-empty string id")
+    if not isinstance(rec["date"], str):
+        raise ValueError("date is not a string")
+    timestamp = parse_timestamp(rec["date"])
+    payload = rec["text" if schema == "raw" else "mentions"]
+    if not isinstance(payload, str if schema == "raw" else list):
+        raise ValueError("wrong payload type")
+    names = [payload] if schema == "raw" else [m[0] for m in payload if type(m) is list and m and type(m[0]) is str]
+    "".join([rec["id"], *names]).encode("utf-8")
+    if schema == "pretagged":
+        if not all(type(m) is list and len(m) == 2 and type(m[0]) is str and m[0] and type(m[1]) is int
+                   and 1 <= m[1] < 2**63 for m in payload):
+            raise ValueError("bad mention")
+        payload = [tuple(m) for m in payload]
+    return rec["id"], timestamp, payload
+
+
+def _reference_tsv(line: str) -> tuple:
+    """A TSV line's date and single (name, count) mention: three fields,
+    each stripped; the count is ASCII digits from 1 to 2**63 - 1."""
+    fields = [part.strip() for part in line.split("\t")]
+    if len(fields) != 3 or not fields[1] or not re.fullmatch("[0-9]+", fields[2]):
+        raise ValueError("not date<TAB>name<TAB>count")
+    count = int(fields[2])
+    if not 1 <= count < 2**63:
+        raise ValueError("count out of range")
+    return parse_timestamp(fields[0]), [(fields[1], count)]
 
 
 def oracle_spike(t, grid: WeekGrid) -> FamePeriod:
