@@ -1,13 +1,10 @@
 """Read, validate, and window timestamped documents.
 
-Two line-oriented input schemas are supported, both UTF-8:
-
-* ``raw``: one JSON object per line with fields ``id``, ``date``
-  (ISO-8601), ``text``.
-* ``pretagged``: JSON lines with ``id``, ``date``, ``mentions`` (array of
-  ``[name, count]`` pairs), or a TSV variant ``date<TAB>name<TAB>count``
-  (one mention record per line; the id of line n is
-  ``tsv:<first 16 hex digits of the file's sha256>:<n>``).
+Two line-oriented UTF-8 schemas: ``raw``, JSON objects with ``id``,
+``date`` and ``text``; and ``pretagged``, JSON objects with ``id``,
+``date`` and ``mentions`` (``[name, count]`` pairs), or TSV lines
+``date<TAB>name<TAB>count`` whose id is ``tsv:<first 16 hex digits of the
+file's sha256>:<line number>``.
 
 A DocumentReader reads _BLOCK_LINES lines at a time.  The json module's C
 scanner decodes each line once, accepted only when the value spans the
@@ -22,10 +19,12 @@ lines in the window become a Block of columns; records() flattens a
 block into ``(id, Stamp, payload)``, the payload being a raw line's text or
 the (names, counts) lists of a pre-tagged one.
 
-Lines end in LF, CRLF or CR.  Bytes are decoded in pieces of about
-_READ_BYTES, cut after a LF or a lone CR; a line that is not UTF-8, or
-whose JSON leaves a lone surrogate in its id, text or a name, is
-malformed.
+Lines end in LF, CRLF or CR.  Bytes are decoded in pieces cut at the
+last line end of a read of _READ_BYTES.  A piece that is not UTF-8 is
+decoded with each bad byte as a lone surrogate; in such a piece, or one
+holding a ``\\ud`` escape, a line with a lone surrogate is malformed:
+before parsing it is not UTF-8, after it an escape left one in its id,
+text or a name.
 
 DocumentReader.read() feeds a whole file to a Sink.  A regular file is
 cut after LF bytes into forks.share_count byte ranges: one per
@@ -50,6 +49,7 @@ import codecs
 import hashlib
 import json
 import os
+import re
 import stat
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -82,6 +82,9 @@ _READ_BYTES = 1 << 16
 _SHARD_MIN_BYTES = 2 << 20
 
 _scan_json = json.JSONDecoder().scan_once
+
+# a lone surrogate: a byte that is not UTF-8, or an unpaired \ud800-\udfff escape
+_surrogate = re.compile("[\ud800-\udfff]").search
 
 SCHEMAS = ("raw", "pretagged")
 
@@ -238,14 +241,14 @@ class DocumentReader:
                     return tsv_ids
         return ""
 
-    def _sniff(self, lines: list) -> str | None:
+    def _sniff(self, lines: list[str]) -> str | None:
         """The id prefix of a TSV file, "" for JSON lines, None while every
         line is blank: a pre-tagged file is TSV unless its first non-blank
         line starts with "{"."""
         if self.schema != "pretagged":
             return ""
         for line in lines:
-            if text := (line.text if isinstance(line, _Undecodable) else line).strip():
+            if text := line.strip():
                 if text.startswith("{"):
                     return ""
                 if not stat.S_ISREG(os.stat(self.path).st_mode):
@@ -255,59 +258,54 @@ class DocumentReader:
                 return f"tsv:{self.digest[:16]}:"
         return None
 
-    def _range_blocks(self, fh: BinaryIO, window: AnalysisWindow | None, tsv_ids: str | None,
-                      start: int, end: int | None, tally: Tally) -> Iterator[Block]:
-        """The Blocks of the lines in bytes [start, end) of the file open as
-        ``fh`` (to its end if ``end`` is None), which begin just after a
-        newline.  Lines are numbered from 1 in ``tally``'s first 10 errors;
-        TSV ids count the lines before ``start`` too.  With ``tsv_ids``
-        None, the first range sniffs it from its own lines."""
-        stats, errors = tally
-        schema = self.schema
-        stamps = _Stamps(window)
-        before = 0
-        if start:
-            before = _count_lines(fh, start) if tsv_ids else 0
-            fh.seek(start)
-        lineno = 1
-        for lines, escapes in _decoded_pieces(fh, start, end):
-            if tsv_ids is None:
-                tsv_ids = self._sniff(lines)
-            parse_json = _parse_escaped_json_line if escapes else _parse_json_line
-            numbered = enumerate(lines, start=lineno)
-            lineno += len(lines)
-            while chunk := list(islice(numbered, _BLOCK_LINES)):
-                records, linenos, failed = [], [], []
-                for n, line in chunk:
-                    try:
-                        stripped = line.strip()  # raises for a line that is not UTF-8
-                        if not stripped:
-                            stats.blank += 1
-                            continue
-                        if tsv_ids:
-                            records.append(_parse_tsv_line(stripped, f"{tsv_ids}{before + n}", stamps))
-                        else:
-                            records.append(parse_json(stripped, schema, stamps))
-                        linenos.append(n)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        failed.append((n, exc))
-                block = _block(records, linenos, failed, schema)
-                stats.lines += len(chunk)
-                stats.malformed += len(failed)
-                stats.documents = stats.lines - stats.blank - stats.malformed
-                errors += [(n, str(exc)) for n, exc in failed[:10 - len(errors)]]
-                if block:
-                    yield block
-
     def _read_range(self, fh: BinaryIO | _Hashed | None, sink: Sink, window: AnalysisWindow | None,
                     tsv_ids: str | None, start: int, end: int | None) -> tuple[Tally, object]:
-        """Read bytes [start, end) into ``sink``, through ``fh`` or, if it is
-        None (in a forked child), through a file of its own; their Tally and,
-        from a child, sink.held()."""
-        tally: Tally = (ReadStats(), [])
+        """Read the lines in bytes [start, end) of the file (to its end if
+        ``end`` is None), which begin just after a newline, into ``sink``:
+        through ``fh``, or if it is None (in a forked child) through a file
+        of its own.  Their Tally, with lines numbered from 1 in its first 10
+        errors, and, from a child, sink.held().  TSV ids count the lines
+        before ``start`` too; with ``tsv_ids`` None, the first range sniffs
+        it from its own lines."""
+        stats, errors = tally = ReadStats(), []
+        schema = self.schema
+        stamps = _Stamps(window)
+        before, lineno = 0, 1
         with open(self.path, "rb") if fh is None else nullcontext(fh) as source:
-            for block in self._range_blocks(source, window, tsv_ids, start, end, tally):
-                sink.add_block(block)
+            if start:
+                before = _count_lines(source, start) if tsv_ids else 0
+                source.seek(start)
+            for lines, suspect in _decoded_pieces(source, start, end):
+                if tsv_ids is None:
+                    tsv_ids = self._sniff(lines)
+                numbered = enumerate(lines, start=lineno)
+                lineno += len(lines)
+                while chunk := list(islice(numbered, _BLOCK_LINES)):
+                    records, linenos, failed = [], [], []
+                    for n, line in chunk:
+                        try:
+                            stripped = line.strip()
+                            if not stripped:
+                                stats.blank += 1
+                                continue
+                            if suspect and _surrogate(stripped):
+                                raise ValueError("invalid UTF-8")
+                            if tsv_ids:
+                                record = _parse_tsv_line(stripped, f"{tsv_ids}{before + n}", stamps)
+                            else:
+                                record = _parse_json_line(stripped, schema, stamps)
+                            if suspect:
+                                _check_strings(record)
+                            records.append(record)
+                            linenos.append(n)
+                        except (ValueError, KeyError, TypeError) as exc:
+                            failed.append((n, exc))
+                    block = _block(records, linenos, failed, schema)
+                    stats.lines += len(chunk)
+                    stats.malformed += len(failed)
+                    errors += [(n, str(exc)) for n, exc in failed[:10 - len(errors)]]
+                    if block:
+                        sink.add_block(block)
         return tally, sink.held() if fh is None else None
 
     def _finish(self, tallies: list[Tally]) -> None:
@@ -355,25 +353,32 @@ class ListSink:
 def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
     """The byte ranges a file is read in, forks.share_count of a regular
     file's size in _SHARD_MIN_BYTES, each cut just after the first "\\n" at
-    or past an even share of the size; the last runs to the end."""
+    or past an even share of the size but before the last byte.  A share
+    is searched _READ_BYTES at a time and no further than the next one,
+    whose own search finds a "\\n" that lies past it."""
     from .forks import share_count
     info = os.fstat(fh.fileno())
     size = info.st_size if stat.S_ISREG(info.st_mode) else 0
     n = share_count(size, _SHARD_MIN_BYTES)
     cuts = [0]
     for k in range(1, n):
-        fh.seek(k * size // n)
-        if fh.readline().endswith(b"\n") and cuts[-1] < fh.tell() < size:
-            cuts.append(fh.tell())
+        at, stop = k * size // n, min((k + 1) * size // n, size - 1)
+        fh.seek(at)
+        while at < stop and (data := fh.read(min(_READ_BYTES, stop - at))):
+            if (newline := data.find(b"\n")) >= 0:
+                cuts.append(at + newline + 1)
+                break
+            at += len(data)
     if n > 1:
         fh.seek(0)
     return list(zip(cuts, [*cuts[1:], None]))
 
 
 def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
-    """The next ``size`` bytes of ``fh`` (the rest of it if None) in pieces
-    of about _READ_BYTES, each but the last ending just after a "\\n" or a
-    lone "\\r", so that no "\\r\\n" is split."""
+    """The next ``size`` bytes of ``fh`` (the rest of it if None) in pieces,
+    each but the last ending at the last line end of a read of _READ_BYTES,
+    just after a "\\n" or a lone "\\r", so that no "\\r\\n" is split and a
+    piece holds at most its first line and one read more."""
     pending: list = []
     while size is None or size > 0:
         data = fh.read(_READ_BYTES if size is None else min(size, _READ_BYTES))
@@ -382,9 +387,10 @@ def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
         if size is not None:
             size -= len(data)
         cut = data.rfind(b"\n") + 1
-        # a "\r" past the last "\n" and before the last byte ends a line
+        # a "\r" past the last "\n" and before the last byte ends a line; so
+        # does one that ended the last read (a "\n" after it would be a cut)
         cut = data.rfind(b"\r", cut, len(data) - 1) + 1 or cut
-        if cut:
+        if cut or pending and pending[-1][-1:] == b"\r":
             pending.append(memoryview(data)[:cut])
             yield b"".join(pending)
             pending = []
@@ -393,7 +399,7 @@ def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
         yield rest
 
 
-def _decoded_pieces(fh: BinaryIO, start: int, end: int | None) -> Iterator[tuple[list, bool]]:
+def _decoded_pieces(fh: BinaryIO, start: int, end: int | None) -> Iterator[tuple[list[str], bool]]:
     """The _decode of each piece of bytes [start, end) of ``fh``, which is
     at ``start``; a byte-order mark at the start of the file is dropped."""
     for k, piece in enumerate(_pieces(fh, None if end is None else end - start)):
@@ -408,39 +414,22 @@ def _count_lines(fh: BinaryIO, end: int) -> int:
                for piece in _pieces(fh, end))
 
 
-class _Undecodable:
-    """Stands for a line that is not valid UTF-8: stripping it raises, and
-    .text is its decoding with replacement characters."""
-
-    def __init__(self, line: bytes):
-        self.text = line.decode("utf-8", "replace")
-
-    def strip(self):
-        raise ValueError("invalid UTF-8")
-
-
-def _decode(piece: bytes) -> tuple[list, bool]:
+def _decode(piece: bytes) -> tuple[list[str], bool]:
     """The lines of a piece, split at LF, CRLF and CR as a text file's
-    universal newlines split them, and whether any may hold a ``\\ud``
-    escape.  A line that is not UTF-8 becomes an _Undecodable."""
+    universal newlines split them, and whether the piece is suspect: not
+    UTF-8, so decoded with each bad byte as a lone surrogate, or holding a
+    ``\\ud`` escape."""
     try:
-        text = piece.decode("utf-8")
+        text, suspect = piece.decode("utf-8"), False
     except UnicodeDecodeError:
-        return [_decode_line(line) for line in piece.splitlines()], True
+        text, suspect = piece.decode("utf-8", "surrogateescape"), True
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
     # a backslash is found by memchr, a three-character string is not
-    return lines, "\\" in text and ("\\ud" in text or "\\uD" in text)
-
-
-def _decode_line(line: bytes) -> str | _Undecodable:
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError:
-        return _Undecodable(line)
+    return lines, suspect or "\\" in text and ("\\ud" in text or "\\uD" in text)
 
 
 class _Hashed:
@@ -489,19 +478,14 @@ def _parse_json_line(line: str, schema: str, stamps: _Stamps) -> tuple[str, Stam
     return doc_id, stamp, mentions
 
 
-def _parse_escaped_json_line(line: str, schema: str, stamps: _Stamps) -> tuple[str, Stamp, str | list]:
-    """_parse_json_line for a line of a piece that holds a ``\\ud``
-    escape: if the line has one, a lone surrogate left in its id, text or
-    a mention name, which no UTF-8 output can hold, makes it malformed."""
-    doc_id, stamp, payload = record = _parse_json_line(line, schema, stamps)
-    if "\\ud" in line or "\\uD" in line:
-        strings = [payload] if isinstance(payload, str) else [
-            item[0] for item in payload if type(item) is list and item and type(item[0]) is str]
-        try:
-            "".join([doc_id, *strings]).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("string holds a lone surrogate (an unpaired \\ud800-\\udfff escape)") from None
-    return record
+def _check_strings(record: tuple[str, Stamp, str | list]) -> None:
+    """Raise for a lone surrogate that an unpaired \\ud800-\\udfff escape
+    left in a parsed line's id, text or a mention name."""
+    doc_id, _, payload = record
+    strings = [payload] if isinstance(payload, str) else [
+        item[0] for item in payload if type(item) is list and item and type(item[0]) is str]
+    if _surrogate("".join([doc_id, *strings])):
+        raise ValueError("string holds a lone surrogate (an unpaired \\ud800-\\udfff escape)")
 
 
 def _flat_mentions(arrays: list[list]) -> tuple[list[str], list[int]] | None:
@@ -569,6 +553,8 @@ def _parse_tsv_line(line: str, doc_id: str, stamps: _Stamps) -> Record:
         raise ValueError(f"count must be >= 1, got {count}")
     if count > MAX_COUNT:
         raise ValueError(f"count must be below 2**63, got {count}")
+    if not (digits := parts[2].strip()).isdigit() or not digits.isascii():  # int() takes "+3", "1_000", "٥"
+        raise ValueError(f"count must be written in ASCII digits, got {parts[2]!r}")
     return doc_id, stamp, [[name, count]]
 
 

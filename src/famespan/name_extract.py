@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .dates import Timestamp
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 DEFAULT_HONORIFICS = frozenset(
     {"Mr", "Mrs", "Ms", "Miss", "Dr", "Prof", "Rev", "Sen", "Gen", "Gov",
@@ -89,14 +89,18 @@ def _candidate_pattern(honorific_cores: frozenset[str]) -> str:
 
 
 def load_wordlist(path: str | Path, digests: dict[str, str] | None = None) -> frozenset[str]:
-    """One entry per line, UTF-8 (a byte-order mark is dropped); blank
-    lines ignored.  The sha256 of the bytes read goes into ``digests``, by
-    path, so a list read from a pipe gets the digest of what was read."""
+    """One entry per line, UTF-8 (a byte-order mark is dropped; bytes that
+    are not UTF-8 are a DataError); blank lines ignored.  The sha256 of the
+    bytes read goes into ``digests``, by path, so a list read from a pipe
+    gets the digest of what was read."""
     with open(path, "rb") as fh:
         data = fh.read()
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
-    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: a word list must be UTF-8 ({exc.reason})") from None
     return frozenset(word for line in text.split("\n") if (word := line.strip()))
 
 

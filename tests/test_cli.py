@@ -173,6 +173,25 @@ def test_extract_word_lists_may_start_with_a_byte_order_mark(tmp_path):
     assert json.loads(out.read_text())["mentions"] == [["Ada Lovelace", 1], ["Alan Turing", 1]]
 
 
+@pytest.mark.parametrize("command", ["extract", "run"])
+def test_a_word_list_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({"id": "a", "date": "2005-02-02", "text": "Ada Lovelace spoke."}) + "\n",
+                   encoding="utf-8")
+    gaz = tmp_path / "gaz.txt"
+    gaz.write_bytes(b"Ada\nRen\xe9\n")  # Latin-1
+    out = tmp_path / "out"
+    if command == "extract":
+        args = ["extract", "--input", str(raw), "--gazetteer", str(gaz), "--out", str(out)]
+    else:
+        args = ["run", "--input", str(raw), "--schema", "raw", "--gazetteer", str(gaz), "--window", "2005-01",
+                "2006-01", "--n-min", "1", "--seed", "3", "--out-dir", str(out)]
+    assert main(args) == 3
+    assert capsys.readouterr().err == (f"famespan: error: {gaz}: a word list must be UTF-8 "
+                                       "(invalid continuation byte)\n")
+    assert not out.is_file() and not any(out.glob("*"))
+
+
 def test_failed_extract_leaves_no_output(tmp_path):
     # a third of the lines malformed: SchemaError at the end of the stream,
     # after the good lines were written

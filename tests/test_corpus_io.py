@@ -129,6 +129,17 @@ def test_count_beyond_int64_is_malformed(tmp_path, count):
     assert reader.stats.errors == [f"c.tsv:1: count must be below 2**63, got {count}"]
 
 
+@pytest.mark.parametrize("count", ["+3", "1_000", "\u0665", "\u0663\u0663", "\uff13"])
+def test_a_tsv_count_is_ascii_digits(tmp_path, count):
+    # int() reads these as 3, 1000, 5, 33 and 3; whitespace around a count
+    # is dropped, as around the date and the name
+    f = tmp_path / "c.tsv"
+    write_lines(f, [f"2001-05-02\tGrace Hopper\t{count}", *["2001-05-02\tAda Lovelace\t 7"] * 20])
+    reader, docs = read_all(f, "pretagged")
+    assert [d[2] for d in docs] == [[("Ada Lovelace", 7)]] * 20
+    assert reader.stats.errors == [f"c.tsv:1: count must be written in ASCII digits, got {count!r}"]
+
+
 def test_round_trip(tmp_path):
     docs = [
         Document(id="a", timestamp=date(1999, 12, 31), text="Some text."),

@@ -12,6 +12,7 @@ import json
 import os
 import shutil
 import threading
+import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -175,6 +176,44 @@ def _cut_lines(path: Path, n: int) -> list[int]:
         ranges = corpus_io._byte_ranges(fh)
     data = path.read_bytes()
     return [data[:start].count(b"\n") for start, _ in ranges[1:]]
+
+
+def _readline_ranges(data: bytes, n: int) -> list:
+    """The n byte ranges of ``data`` cut as reading a line from each even
+    share of its size would cut them: just after the "\\n" that ends it."""
+    cuts = [0]
+    for k in range(1, n):
+        end = data.find(b"\n", k * len(data) // n) + 1
+        if cuts[-1] < end < len(data):
+            cuts.append(end)
+    return list(zip(cuts, [*cuts[1:], None]))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(parts=st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b"ab", b"x" * 40]), max_size=60),
+       n=st.integers(1, 4), read_bytes=st.sampled_from([1, 7, 65536]))
+def test_byte_ranges_cut_where_a_line_read_from_each_share_ends(tmp_path_factory, parts, n, read_bytes):
+    data = b"".join(parts)
+    path = tmp_path_factory.mktemp("ranges") / "c.txt"
+    path.write_bytes(data)
+    with shards(n), pytest.MonkeyPatch.context() as mp, open(path, "rb") as fh:
+        mp.setattr(corpus_io, "_READ_BYTES", read_bytes)
+        assert corpus_io._byte_ranges(fh) == _readline_ranges(data, max(1, min(n, len(data))))
+
+
+def test_byte_ranges_of_a_cr_only_file_hold_one_read_at_a_time(tmp_path):
+    # no "\n" follows the middle of the file: the search for one reads no
+    # further than the next share, one read at a time
+    path = tmp_path / "cr.tsv"
+    path.write_bytes(b"2001-05-02\tAda Lovelace\t1\r" * 40_000)  # about 1 MB
+    with shards(2), open(path, "rb") as fh:
+        tracemalloc.start()
+        try:
+            ranges = corpus_io._byte_ranges(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert ranges == [(0, None)] and peak < 4 * corpus_io._READ_BYTES
 
 
 @pytest.mark.parametrize("n", [2, 3])
