@@ -5,8 +5,8 @@ lines, malformed ones, blank ones (whitespace as str.strip() sees it),
 byte-order marks, bytes that are not UTF-8, lone and paired \\ud800
 escapes, LF, CRLF and CR line ends, lines longer than a read, and a last
 line with no end.  Each file is read in one range with _READ_BYTES of 1,
-7, 256 and 65536 bytes, and in 2 and 3 forced byte ranges (as in
-test_shards.py) with one of those read sizes each.  Records, ReadStats,
+7, 256 and 65536 bytes, and in 2 or 3 forced byte ranges (as in
+test_shards.py) with one of those read sizes.  Records, ReadStats,
 the first errors, TSV ids and digest, and the 10% limit must be the
 reference's every time, and no decoded piece may hold more than its
 first line and one read.
@@ -181,7 +181,7 @@ def _read(reader, window) -> tuple[ListSink, bool]:
 
 
 @pytest.mark.parametrize("kind", ["raw", "pretagged", "tsv"])
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_reader_matches_the_reference(tmp_path_factory, kind, data):
     schema = "raw" if kind == "raw" else "pretagged"
@@ -192,8 +192,8 @@ def test_reader_matches_the_reference(tmp_path_factory, kind, data):
     expected = reference_read(content, schema, window)
     # a piece holds at most its first line and one read more
     longest = max(map(len, re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)?", content)))
-    forked = [(data.draw(st.sampled_from(READ_BYTES), label=f"read_bytes in {n}"), n) for n in (2, 3)]
-    for read_bytes, ranges in [(read_bytes, 1) for read_bytes in READ_BYTES] + forked:
+    forked = data.draw(st.sampled_from(READ_BYTES), label="read_bytes"), data.draw(st.sampled_from([2, 3]))
+    for read_bytes, ranges in [(read_bytes, 1) for read_bytes in READ_BYTES] + [forked]:
         reader = read_documents(path, schema)
         with shards(ranges), pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus_io, "_READ_BYTES", read_bytes)
