@@ -169,15 +169,22 @@ class RunConfig:
 
 
 class _Outputs:
-    """Tracks the files a command writes; leaving its ``with`` block by an
-    exception removes them again, so failures leave nothing partial."""
+    """Tracks the files a command writes, ``track(p)`` a given one and ``path(name)`` one in
+    out_dir (created up front); leaving its ``with`` block by an exception removes them
+    again, so failures leave nothing partial."""
 
-    def __init__(self):
+    def __init__(self, out_dir: Path | None = None):
         self.created: list[Path] = []
+        self.out_dir = out_dir
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
 
     def track(self, p: Path) -> Path:
         self.created.append(p)
         return p
+
+    def path(self, name: str) -> Path:
+        return self.track(self.out_dir / name)
 
     def __enter__(self):
         return self
@@ -186,18 +193,6 @@ class _Outputs:
         if exc_type is not None:
             for p in self.created:
                 p.unlink(missing_ok=True)
-
-
-class _ArtifactDir(_Outputs):
-    """Outputs named inside out_dir, which is created up front."""
-
-    def __init__(self, out_dir: Path):
-        super().__init__()
-        self.out_dir = out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def path(self, name: str) -> Path:
-        return self.track(self.out_dir / name)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +305,7 @@ def detect_periods(timelines: dict[str, Timeline], method: str, grid: WeekGrid) 
 
 
 def fame_periods(
-    cfg: RunConfig, timelines: dict[str, Timeline], art: _ArtifactDir
+    cfg: RunConfig, timelines: dict[str, Timeline], out: _Outputs
 ) -> Iterator[tuple[str, str, list[FamePeriod]]]:
     """Name sets, detection, period_filter and the cut per name filter;
     writes and yields (method, filter, name-sorted periods) for each pair."""
@@ -326,26 +321,20 @@ def fame_periods(
                     f"no fame periods survive filtering for ({method}, {filter_name})"
                 )
             token = _FILTER_FILE_TOKEN[filter_name]
-            rep.write_periods_csv(periods, art.path(f"periods_{method}_{token}.csv"))
+            rep.write_periods_csv(periods, out.path(f"periods_{method}_{token}.csv"))
             yield method, filter_name, periods
 
 
-def _bootstrap(src) -> tuple[int, int, float, float]:
-    """(seed, reps, level, tail_quantile) of a RunConfig or of parsed
-    arguments, in the order report.compute_cohort_stats takes them."""
-    return src.seed, src.reps, src.level, src.tail_quantile
-
-
 def cohort_stats(
-    method: str,
-    filter_name: str,
-    periods: list[FamePeriod],
-    width: int,
-    bootstrap: tuple[int, int, float, float],
+    method: str, filter_name: str, periods: list[FamePeriod], width: int,
+    settings: RunConfig | argparse.Namespace,
 ) -> list[rep.CohortStats]:
-    """The bootstrapped statistics of each cohort of one width."""
+    """The bootstrapped statistics of each cohort of one width, with the
+    seed, reps, level and tail_quantile of ``settings``: a RunConfig, or
+    the parsed arguments of stats or report."""
     return [
-        rep.compute_cohort_stats(method, filter_name, cohort, *bootstrap)
+        rep.compute_cohort_stats(method, filter_name, cohort, settings.seed, settings.reps,
+                                 settings.level, settings.tail_quantile)
         for cohort in assign_cohorts(periods, width)
     ]
 
@@ -358,61 +347,44 @@ def _width_token(width: int) -> str:
     return f"{width}mo"
 
 
-def _stats_artifacts(
-    art: _ArtifactDir,
-    method: str,
-    filter_name: str,
-    periods: list[FamePeriod],
-    widths: tuple[int, ...],
-    bootstrap: tuple[int, int, float, float],
-) -> list[rep.CohortStats]:
+def _stats_artifacts(out: _Outputs, method: str, filter_name: str, periods: list[FamePeriod],
+                     widths: tuple[int, ...], settings: RunConfig | argparse.Namespace,
+                     ) -> list[rep.CohortStats]:
     """Quantile series per width; curves, fits, and bootstrap intervals on
-    the widest cohorts (those feed the summary table)."""
+    the widest cohorts (those feed the summary table), by cohort_stats."""
     token = _FILTER_FILE_TOKEN[filter_name]
     for width in widths[:-1]:
         rep.write_quantile_series_csv(
             assign_cohorts(periods, width),
-            art.path(f"series_{method}_{token}_{_width_token(width)}.csv"),
+            out.path(f"series_{method}_{token}_{_width_token(width)}.csv"),
         )
-    all_stats = cohort_stats(method, filter_name, periods, widths[-1], bootstrap)
+    all_stats = cohort_stats(method, filter_name, periods, widths[-1], settings)
     rep.write_quantile_series_csv(
         [cs.cohort for cs in all_stats],
-        art.path(f"series_{method}_{token}_{_width_token(widths[-1])}.csv"),
+        out.path(f"series_{method}_{token}_{_width_token(widths[-1])}.csv"),
         intervals={cs.cohort.label: cs.quantiles for cs in all_stats},
     )
     for cs in all_stats:
         rep.write_cumulative_curve_csv(
             cs.cohort,
             cumulative_curve(cs.cohort),
-            art.path(f"curve_{method}_{token}_{cs.cohort.label}.csv"),
+            out.path(f"curve_{method}_{token}_{cs.cohort.label}.csv"),
             cs.fit,
         )
     rep.write_fits_json(
-        {cs.cohort.label: cs for cs in all_stats}, art.path(f"fits_{method}_{token}.json")
+        {cs.cohort.label: cs for cs in all_stats}, out.path(f"fits_{method}_{token}.json")
     )
     return all_stats
 
 
-def run_pipeline(cfg: RunConfig, inputs: Sequence[Path], out_dir: Path) -> list[Path]:
-    """End-to-end run; returns the artifact paths (removed again on error)."""
-    with _ArtifactDir(Path(out_dir)) as art:
-        digests: dict[str, str] = {}
-        timelines = build_pipeline_timelines(cfg, inputs, art.path("sampling_report.csv"), digests)
-        summary_rows = []
-        for method, filter_name, periods in fame_periods(cfg, timelines, art):
-            stats = _stats_artifacts(
-                art, method, filter_name, periods, cfg.cohort_widths, _bootstrap(cfg)
-            )
-            summary_rows.extend(rep.summary_row(cs) for cs in stats)
-        rep.write_summary_csv(summary_rows, art.path("summary.csv"))
-        rep.write_summary_text(summary_rows, art.path("summary.txt"))
-        rep.write_manifest(
-            cfg.as_manifest_dict(),
-            [*inputs, *cfg.recognizer_files().values()],
-            art.path("manifest.json"),
-            digests,
-        )
-    return art.created
+def _write_summary(out: _Outputs, stats: list[rep.CohortStats], config: dict,
+                   inputs: Sequence[Path], digests: dict[str, str] | None = None) -> None:
+    """The summary table of ``stats`` as CSV and text, and the manifest of
+    ``config`` and ``inputs`` (write_manifest's digests): run and report."""
+    rows = [rep.summary_row(cs) for cs in stats]
+    rep.write_summary_csv(rows, out.path("summary.csv"))
+    rep.write_summary_text(rows, out.path("summary.txt"))
+    rep.write_manifest(config, inputs, out.path("manifest.json"), digests)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +499,24 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _check_outputs(inputs: Sequence[Path], outputs: dict[str, Path | None]) -> None:
+    """ConfigError, before any input is read, for an output of sample or
+    extract (by flag; None when not given) that is the same file as an
+    input or an earlier output: the same regular file by os.path.samefile
+    when both exist, the same resolved path otherwise."""
+    seen = [("--input", path) for path in inputs]
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        for other_flag, other in seen:
+            if (os.path.samefile(path, other) and path.is_file() if path.exists() and other.exists()
+                    else path.resolve() == other.resolve()):
+                raise ConfigError(f"{flag} {path} is the same file as {other_flag} {other}")
+        seen.append((flag, path))
+
+
 def _cmd_extract(args) -> int:
+    _check_outputs([args.input], {"--out": args.out})
     recognizer = load_recognizer(args.gazetteer, args.honorifics, args.stoplist)
     reader = read_documents(args.input, "raw")
     tagged = ListSink(lambda block: [
@@ -544,6 +533,7 @@ def _cmd_extract(args) -> int:
 def _cmd_sample(args) -> int:
     sampler_cfg = SamplerConfig(args.n_min, args.seed, args.underfull_policy)
     window = _parse_window(args.window)
+    _check_outputs(args.input, {"--out": args.out, "--report": args.report})
     with _Outputs() as outputs:
         out = outputs.track(args.out)
         report = outputs.track(args.report) if args.report else None
@@ -558,21 +548,35 @@ def _cmd_sample(args) -> int:
 
 def _cmd_periods(args) -> int:
     cfg = _build_run_config(args)
-    with _ArtifactDir(Path(args.out_dir)) as art:
-        timelines = build_pipeline_timelines(cfg, args.input, art.path("sampling_report.csv"))
-        n = sum(1 for _ in fame_periods(cfg, timelines, art))
+    with _Outputs(args.out_dir) as out:
+        timelines = build_pipeline_timelines(cfg, args.input, out.path("sampling_report.csv"))
+        n = sum(1 for _ in fame_periods(cfg, timelines, out))
     print(f"wrote {n} period files to {args.out_dir}")
     return 0
 
 
-def _load_labelled_periods(path: Path) -> tuple[str, str, list[FamePeriod]]:
-    try:
-        method, filter_name = _PERIODS_FILE_LABEL[path.stem]
-    except KeyError:
-        raise ConfigError(
-            f"{path}: expected file name periods_<method>_<filter>.csv "
-            f"(filters: {', '.join(_FILTER_FILE_TOKEN.values())})"
-        ) from None
+def _labelled_periods(paths: Sequence[Path]) -> dict[tuple[str, str], Path]:
+    """Each periods CSV by the (method, filter) its file name gives, found
+    before any is read: a name that gives none, or a second file with one
+    label, is a ConfigError."""
+    labelled: dict[tuple[str, str], Path] = {}
+    for path in paths:
+        try:
+            label = _PERIODS_FILE_LABEL[path.stem]
+        except KeyError:
+            raise ConfigError(
+                f"{path}: expected file name periods_<method>_<filter>.csv "
+                f"(filters: {', '.join(_FILTER_FILE_TOKEN.values())})"
+            ) from None
+        if label in labelled:
+            raise ConfigError(f"{labelled[label]} and {path} are both periods of {label[0]}, "
+                              f"{label[1]}; give one file per method and filter")
+        labelled[label] = path
+    return labelled
+
+
+def _read_labelled_periods(path: Path, method: str) -> list[FamePeriod]:
+    """The periods of a CSV named for ``method``, which each row must have."""
     periods = rep.read_periods_csv(path)
     if not periods:
         raise EmptyCohort(f"{path}: no periods")
@@ -582,28 +586,29 @@ def _load_labelled_periods(path: Path) -> tuple[str, str, list[FamePeriod]]:
             f"{path}: file is named for method {method!r} but contains "
             f"{', '.join(sorted(mismatched))} rows"
         )
-    return method, filter_name, periods
+    return periods
 
 
 def _cmd_stats(args) -> int:
     widths = _parse_widths(args.widths)
     _check_ranges(vars(args))
-    with _ArtifactDir(Path(args.out_dir)) as art:
-        for path in args.periods:
-            method, filter_name, periods = _load_labelled_periods(Path(path))
-            _stats_artifacts(art, method, filter_name, periods, widths, _bootstrap(args))
-    print(f"wrote {len(art.created)} statistics files to {args.out_dir}")
+    labelled = _labelled_periods(args.periods)
+    with _Outputs(args.out_dir) as out:
+        for (method, filter_name), path in labelled.items():
+            periods = _read_labelled_periods(path, method)
+            _stats_artifacts(out, method, filter_name, periods, widths, args)
+    print(f"wrote {len(out.created)} statistics files to {args.out_dir}")
     return 0
 
 
 def _cmd_report(args) -> int:
     _check_ranges(vars(args))
-    with _ArtifactDir(Path(args.out_dir)) as art:
-        summary_rows = []
-        for path in args.periods:
-            method, filter_name, periods = _load_labelled_periods(Path(path))
-            stats = cohort_stats(method, filter_name, periods, args.width, _bootstrap(args))
-            summary_rows.extend(rep.summary_row(cs) for cs in stats)
+    labelled = _labelled_periods(args.periods)
+    with _Outputs(args.out_dir) as out:
+        stats = []
+        for (method, filter_name), path in labelled.items():
+            periods = _read_labelled_periods(path, method)
+            stats += cohort_stats(method, filter_name, periods, args.width, args)
         config = {
             "seed": args.seed,
             "reps": args.reps,
@@ -611,17 +616,22 @@ def _cmd_report(args) -> int:
             "tail_quantile": args.tail_quantile,
             "width": args.width,
         }
-        rep.write_summary_csv(summary_rows, art.path("summary.csv"))
-        rep.write_summary_text(summary_rows, art.path("summary.txt"))
-        rep.write_manifest(config, args.periods, art.path("manifest.json"))
+        _write_summary(out, stats, config, args.periods)
     print(f"wrote summary for {len(args.periods)} period files to {args.out_dir}")
     return 0
 
 
 def _cmd_run(args) -> int:
     cfg = _build_run_config(args)
-    created = run_pipeline(cfg, args.input, Path(args.out_dir))
-    print(f"wrote {len(created)} artifacts to {args.out_dir}")
+    with _Outputs(args.out_dir) as out:
+        digests: dict[str, str] = {}
+        timelines = build_pipeline_timelines(cfg, args.input, out.path("sampling_report.csv"), digests)
+        stats = []
+        for method, filter_name, periods in fame_periods(cfg, timelines, out):
+            stats += _stats_artifacts(out, method, filter_name, periods, cfg.cohort_widths, cfg)
+        _write_summary(out, stats, cfg.as_manifest_dict(), [*args.input, *cfg.recognizer_files().values()],
+                       digests)
+    print(f"wrote {len(out.created)} artifacts to {args.out_dir}")
     return 0
 
 

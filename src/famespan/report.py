@@ -92,10 +92,6 @@ def read_periods_csv(path: str | Path) -> list[FamePeriod]:
     return out
 
 
-def point_quantiles(cohort: Cohort) -> dict[str, float]:
-    return {f"p{q * 100:g}": quantile(cohort.durations, q) for q in QUANTILE_LEVELS}
-
-
 def write_quantile_series_csv(
     cohorts: Sequence[Cohort],
     path: str | Path,
@@ -115,9 +111,8 @@ def write_quantile_series_csv(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for cohort in cohorts:
-            points = point_quantiles(cohort)
             row = [cohort.bucket_start.isoformat(), cohort.width_months, cohort.durations.size]
-            row += [format_duration(points[c]) for c in cols]
+            row += [format_duration(quantile(cohort.durations, q)) for q in QUANTILE_LEVELS]
             if intervals is not None:
                 ivs = intervals[cohort.label]
                 for c in cols:
@@ -142,19 +137,17 @@ def write_cumulative_curve_csv(
 
 @dataclass
 class CohortStats:
-    """Everything the summary table needs for one (method, filter, cohort)."""
+    """What the summary row, series, curve and fits of one (method, filter, cohort) read."""
 
     method: str
     filter_name: str
     cohort: Cohort
-    n: int
     quantiles: dict[str, BootstrapInterval]
     alpha: BootstrapInterval | None
     fit: PowerLawFit | None
     alpha_error: str | None
     seed: int
     reps: int
-    level: float
 
 
 def compute_cohort_stats(
@@ -192,14 +185,12 @@ def compute_cohort_stats(
         method=method,
         filter_name=filter_name,
         cohort=cohort,
-        n=int(durations.size),
         quantiles=intervals,
         alpha=alpha_iv,
         fit=fit,
         alpha_error=alpha_error,
         seed=seed,
         reps=reps,
-        level=level,
     )
 
 

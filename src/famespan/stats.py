@@ -163,15 +163,10 @@ class BootstrapInterval:
     point: float
     lo: float
     hi: float
-    level: float = 0.99
-    reps: int = 25000
-    seed: int = 0
 
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise ValueError(f"interval bounds out of order: {self.lo} > {self.hi}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
 
 
 class QuantileStatistic:
@@ -437,9 +432,6 @@ def bootstrap_many(
             point=points[stat.name],
             lo=quantile(good, (1.0 - level) / 2.0),
             hi=quantile(good, 1.0 - (1.0 - level) / 2.0),
-            level=level,
-            reps=reps,
-            seed=seed,
         )
     return out
 

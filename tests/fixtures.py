@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from datetime import date, timedelta
 
-from .errors import ConfigError
-from .timeline import Timeline
+from famespan.errors import ConfigError
+from famespan.timeline import Timeline
 
 FIXTURE_KINDS = ("monroe-like", "astor-like")
 

@@ -19,7 +19,6 @@ import pytest
 from famespan.cli import main
 from famespan.corpus_io import AnalysisWindow, write_documents
 from famespan.dates import month_index
-from famespan.fixtures import fixture_timeline
 from famespan.name_extract import Mention
 from famespan.peaks import (
     METHOD_SPIKE,
@@ -55,6 +54,8 @@ from famespan.timeline import (
     top_frac_by_year,
     top_k_by_year,
 )
+
+from fixtures import fixture_timeline
 
 MONDAY = date(2000, 1, 3)
 GRID = WeekGrid(MONDAY)

@@ -220,6 +220,50 @@ def test_extract_subcommand(tmp_path):
     assert rec["mentions"] == [["Ada Lovelace", 2]]
 
 
+# (arguments, with file names relative to the test's directory; the flag
+# refused; the flag of the file it collides with)
+OUTPUT_COLLISIONS = [
+    (["sample", "--input", "tagged.jsonl", *SAMPLING_ARGS, "--out", "sub/../x.jsonl", "--report", "x.jsonl"],
+     "--report", "--out"),
+    (["sample", "--input", "tagged.jsonl", *SAMPLING_ARGS, "--out", "tagged.jsonl"], "--out", "--input"),
+    (["sample", "--input", "tagged.jsonl", *SAMPLING_ARGS, "--out", "s.jsonl", "--report", "sub/../tagged.jsonl"],
+     "--report", "--input"),
+    (["extract", "--input", "raw.jsonl", "--gazetteer", "gaz.txt", "--out", "raw.jsonl"], "--out", "--input"),
+    (["extract", "--input", "raw.jsonl", "--gazetteer", "gaz.txt", "--out", "link.jsonl"], "--out", "--input"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, other_flag", OUTPUT_COLLISIONS, ids=[
+    "sample-report-is-out", "sample-out-is-input", "sample-report-is-input", "extract-out-is-input",
+    "extract-out-links-to-input"])
+def test_an_output_that_is_an_input_or_another_output_is_a_config_error(
+        tmp_path, corpus_path, capsys, argv, flag, other_flag):
+    # the same file by path, by another spelling of a path that does not
+    # exist yet, by another spelling of an existing path and by a symbolic
+    # link; each would replace an input or the other output
+    (tmp_path / "tagged.jsonl").write_bytes(corpus_path.read_bytes())
+    (tmp_path / "raw.jsonl").write_text(
+        json.dumps({"id": "a", "date": "1950-01-02", "text": "Ada Lovelace spoke."}) + "\n", encoding="utf-8")
+    (tmp_path / "gaz.txt").write_text("Ada\n", encoding="utf-8")
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "raw.jsonl")
+    (tmp_path / "sub").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = [str(tmp_path / a) if a.endswith((".jsonl", ".txt")) else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"famespan: error: {flag} {tmp_path}") and err.count("\n") == 1
+    assert f" is the same file as {other_flag} {tmp_path}" in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+def test_sample_may_send_both_outputs_to_one_device(corpus_path, capsys):
+    # writing to a device replaces no file
+    assert main(["sample", "--input", str(corpus_path), *SAMPLING_ARGS,
+                 "--out", os.devnull, "--report", os.devnull]) == 0
+    assert capsys.readouterr().out.startswith("kept ")
+
+
 def _raw_corpus(tmp_path):
     raw = tmp_path / "raw.jsonl"
     rows = []
@@ -529,6 +573,29 @@ def test_malformed_periods_csv_exit_code(tmp_path, capsys):
     assert code == 3
     assert f"{periods}:2: " in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def _periods_csv(path: Path, durations) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = [f"Name {i},spike,2005-01-03,2005-01-{3 + d:02d},2005-01-03,{d}" for i, d in enumerate(durations)]
+    path.write_text("name,method,start,end,peak_date,duration_days\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+@pytest.mark.parametrize("same_path", [False, True], ids=["two-files", "one-file-twice"])
+def test_two_periods_files_with_one_label_are_a_config_error(tmp_path, capsys, command, same_path):
+    # two summary rows, or two writes of each statistics file, for one
+    # (method, filter); refused before either file is read
+    first = _periods_csv(tmp_path / "a" / "periods_spike_all.csv", range(1, 13))
+    second = first if same_path else _periods_csv(tmp_path / "b" / "periods_spike_all.csv", range(3, 15))
+    out = tmp_path / "out"
+    assert main([command, "--periods", str(first), str(second), "--seed", "1", "--reps", "50",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (f"famespan: error: {first} and {second} are both periods of "
+                                       "spike, all; give one file per method and filter\n")
+    assert not out.exists()
 
 
 def test_periods_subcommand_matches_run_artifacts(tmp_path, corpus_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 from famespan.corpus_io import AnalysisWindow
 from famespan.dates import from_epoch_us
 from famespan.errors import ConfigError
-from famespan.fixtures import fixture_timeline
 from famespan.peaks import WeekGrid, continuity_period, spike_period
+
+from fixtures import fixture_timeline
 
 
 def grid_for(t):

@@ -1,8 +1,8 @@
 """Every definition of the program modules is used by the program.
 
-The program modules are those of src/famespan except synth.py and
-fixtures.py, which hold the generator, the per-document references and
-the oracles that the tests compare against.  Each top-level function and
+The program modules are those of src/famespan except synth.py, which
+holds the generator, the per-document references and the oracles that
+the tests compare against.  Each top-level function and
 class of a program module, and each method of such a class, must be
 referenced somewhere in the program modules outside its own definition:
 a name that only the tests use belongs beside the oracles in synth.py.
@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "famespan"
-REFERENCE_MODULES = {"synth", "fixtures"}
+REFERENCE_MODULES = {"synth"}
 PUBLIC = {"stats.bootstrap", "timeline.Timeline.from_pairs"}
 PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill", "sched_setaffinity"}
 

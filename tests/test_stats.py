@@ -187,7 +187,7 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             BootstrapInterval(point=1.0, lo=2.0, hi=1.0)
         with pytest.raises(ValueError):
-            BootstrapInterval(point=1.0, lo=1.0, hi=1.0, level=1.0)
+            bootstrap([1.0, 2.0], QuantileStatistic(0.5), reps=10, level=1.0, seed=0)
 
 
 class TestCumulativeCurve:
