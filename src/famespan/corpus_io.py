@@ -32,9 +32,10 @@ _SHARD_MIN_BYTES and at most one per usable CPU, so a file without a LF
 is one range.  forks.shares() runs one task per range: the process reads
 the first range into the sink, and a forked child per other range reads
 it into a sink.shard() of its own and pickles back its Tally and what
-that sink held().  The parent merges the shares in file order, so
-sinks, ReadStats and error texts are those of a read in one process.  A
-file that is not regular (a pipe) is one range, read and hashed in the
+that sink held().  The parent merges the shares in file order, each
+column of a share dropped once appended (see Sink.merge), so sinks,
+ReadStats and error texts are those of a read in one process.  A file
+that is not regular (a pipe) is one range, read and hashed in the
 process.
 
 Malformed lines are counted and skipped; if more than 10% of non-blank
@@ -190,7 +191,8 @@ class Sink(Protocol):
         """What this sink holds, as values that pickle."""
 
     def merge(self, held: object) -> None:
-        """Append what another sink's held() returned."""
+        """Append what another sink's held() returned, dropping from it
+        what it has appended where it can."""
 
 
 # a byte range's counts, and its first 10 errors with line numbers counted

@@ -77,68 +77,100 @@ class _Codes(dict):
         return code
 
 
+# each column typecode's next wider one: counts take 1, 4 and then 8
+# bytes, name codes 2 and then 4 (see MentionColumns)
+_WIDER = {"B": "I", "I": "q", "H": "i"}
+
+# values converted or looked up at a time (see merge and build_timelines)
+_CHUNK = 1 << 14
+
+
 class MentionColumns:
     """Mentions in flat columns, added a document or a block at a time: an
-    interned name code and a count per mention (see _add_counts), an
-    epoch-µs time per document.  Name codes follow the names' first
-    appearance.  As a corpus_io.Sink, a byte range's columns are appended
-    whole."""
+    interned name code and a count per mention, an epoch-µs time and a
+    mention count per document.  Name codes follow the names' first
+    appearance.  A column starts narrow and widens on the first value that
+    does not fit (see _extend): counts take 1 byte, 4 from the first of
+    256 on and 8 from the first of 2**32 on; name codes take 2 bytes, 4
+    from the 65,537th name on.  As a corpus_io.Sink, a byte range's
+    columns are appended whole."""
 
     def __init__(self, mentions: Iterable[Mention] = ()):
         from array import array  # imported on use, so stats and report load less
         self.codes: dict[str, int] = _Codes()
-        self.name_code, self.count = array("i"), array("I")
+        self.name_code, self.count = array("H"), array("B")
         self.doc_us, self.doc_size = array("q"), array("i")
         for name, ts, count in mentions:
             self.add(ts, ((name, count),))
 
     def add(self, ts: Timestamp | int, mentions: Sequence[tuple[str, int]]) -> None:
         """One document's (name, count) mentions at time ``ts``."""
-        self.name_code.fromlist([self.codes[name] for name, _ in mentions])
-        self._add_counts([n for _, n in mentions])
+        self._extend("name_code", [self.codes[name] for name, _ in mentions])
+        self._extend("count", [n for _, n in mentions])
         self.doc_us.append(ts if isinstance(ts, int) else epoch_us(ts))
         self.doc_size.append(len(mentions))
 
     def add_block(self, block: Block) -> None:
         """A block of pre-tagged documents: its names interned with one
         map, every column appended from a list."""
-        self.name_code.fromlist(list(map(self.codes.__getitem__, block.names)))
-        self._add_counts(block.counts)
+        self._extend("name_code", list(map(self.codes.__getitem__, block.names)))
+        self._extend("count", block.counts)
         self.doc_us.fromlist([stamp.us for stamp in block.stamps])
         self.doc_size.fromlist(block.sizes)
 
-    def _add_counts(self, counts: list[int]) -> None:
-        """Append counts in 4 bytes each, or in 8 from the first of 2**32 on."""
-        try:
-            self.count.fromlist(counts)  # appends nothing if it raises
-        except OverflowError:
-            from array import array
-            self.count = array("q", self.count)
-            self.count.fromlist(counts)
+    def _extend(self, column: str, values: list[int]) -> None:
+        """Append values to the name codes or the counts, the column copied
+        into the next wider typecode of _WIDER while one does not fit."""
+        while True:
+            try:
+                return getattr(self, column).fromlist(values)  # appends nothing if it raises
+            except OverflowError:
+                typecode = getattr(self, column).typecode
+                if typecode not in _WIDER:
+                    raise
+                self._widen(column, _WIDER[typecode])
+
+    def _widen(self, column: str, typecode: str) -> None:
+        """Copy a column into ``typecode``."""
+        from array import array
+        narrow, wide = getattr(self, column), array(typecode)
+        wide.frombytes(np.frombuffer(narrow, narrow.typecode).astype(typecode).view(np.uint8))
+        setattr(self, column, wide)
 
     def shard(self) -> "MentionColumns":
         return MentionColumns()
 
-    def held(self) -> tuple:
-        """The names in code order, the counts' typecode and each column's bytes (see _Keyed.held)."""
+    def held(self) -> list:
+        """The names in code order, the codes' and the counts' typecodes and
+        each column's bytes (see _Keyed.held)."""
         columns = (self.name_code, self.count, self.doc_us, self.doc_size)
-        return list(self.codes), self.count.typecode, *(column.tobytes() for column in columns)
+        return [list(self.codes), self.name_code.typecode, self.count.typecode,
+                *(column.tobytes() for column in columns)]
 
-    def merge(self, held: tuple) -> None:
+    def merge(self, held: list) -> None:
         """Append a shard's columns, its name codes renumbered by one
-        lookup per distinct name and one gather."""
-        names, typecode, name_code, count, *columns = held
-        recode = np.fromiter(map(self.codes.__getitem__, names), np.int32, len(names))
-        self.name_code.frombytes(recode[np.frombuffer(name_code, np.int32)].view(np.uint8))
-        if typecode == self.count.typecode:
-            self.count.frombytes(count)
-        else:  # one side holds a count of 2**32 or more
-            self._add_counts(np.frombuffer(count, typecode).tolist())
-        for column, values in zip((self.doc_us, self.doc_size), columns):
-            column.frombytes(values)
+        lookup per distinct name and a gather.  Either side may hold the
+        wider codes or counts; this side's widen to the wider.  Each
+        column's bytes leave ``held`` once appended, so that no share's
+        column is held twice."""
+        names, code_type, count_type = held[:3]
+        del held[:3]
+        recode = list(map(self.codes.__getitem__, names))
+        if len(self.codes) > 1 << 16 and self.name_code.typecode == "H":
+            self._widen("name_code", "i")
+        if np.dtype(count_type).itemsize > self.count.itemsize:
+            self._widen("count", count_type)
+        recode = np.array(recode, self.name_code.typecode)
+        columns = (self.name_code, self.count, self.doc_us, self.doc_size)
+        for column, typecode in zip(columns, (code_type, count_type, "q", "i")):
+            values = np.frombuffer(held.pop(0), typecode)
+            for at in range(0, len(values), _CHUNK):
+                part = values[at:at + _CHUNK]
+                part = recode[part] if column is self.name_code else part.astype(column.typecode, copy=False)
+                column.frombytes(part.view(np.uint8))
 
 
-_SLICE_MENTIONS, _MAX_SLICES = 1 << 17, 16  # see build_timelines
+_SLICE_MENTIONS, _MAX_SLICES = 1 << 16, 16  # see build_timelines
 
 
 def build_timelines(
@@ -146,26 +178,35 @@ def build_timelines(
 ) -> dict[str, Timeline]:
     """Aggregate mentions into per-name timelines (order-independent merge).
 
-    ``keep`` selects documents of a MentionColumns.  Each mention gets the
-    int32 rank of its document's time among the distinct kept times.  The
-    name codes are cut, in code order, into slices of about _SLICE_MENTIONS
-    mentions, at most _MAX_SLICES (each a pass over the columns); per slice
-    one argsort of an int64 key per kept mention, code * n_times + rank,
-    and add.reduceat over each run of equal keys merge its timelines.  This
-    holds 6 bytes per mention, and 28 per mention of the slice being
-    sorted.  A name whose counts sum to 2**63 or more raises DataError.
+    ``keep`` selects documents of a MentionColumns.  The distinct kept
+    times come from one sort of the kept times; each kept document's rank
+    among them from np.searchsorted, and each mention gets its document's
+    rank, as int16 below 2**15 distinct times and as int32 from there on.
+    The name codes are cut, in code order, into slices of about
+    _SLICE_MENTIONS mentions, at most _MAX_SLICES (each a pass over the
+    columns); per slice one argsort of an int64 key per kept mention,
+    code * n_times + rank, and add.reduceat over each run of equal keys
+    merge its timelines.  Beside the columns this holds 4 bytes per
+    mention with int16 ranks (rank, slice, the slice's mask), and 28 per
+    mention of the slice being sorted.  A name whose counts sum to 2**63
+    or more raises DataError.
     """
     cols = mentions if isinstance(mentions, MentionColumns) else MentionColumns(mentions)
     size, doc_us = np.frombuffer(cols.doc_size, np.int32), np.frombuffer(cols.doc_us, np.int64)
-    code, count = np.frombuffer(cols.name_code, np.int32), np.frombuffer(cols.count, cols.count.typecode)
-    picked = slice(None) if keep is None else keep
-    n_kept = int(size[picked].sum(dtype=np.int64))
+    code, count = (np.frombuffer(column, column.typecode) for column in (cols.name_code, cols.count))
+    keep = np.ones(len(size), bool) if keep is None else keep
+    n_kept = int(size[keep].sum(dtype=np.int64))
     if not n_kept:
         return {}
-    rank = np.full(len(doc_us), -1, dtype=np.int32)  # -1: a dropped document
-    times, rank[picked] = np.unique(doc_us[picked], return_inverse=True)
-    rank = np.repeat(rank, size)
+    times = doc_us[keep]
+    times.sort()
+    times = times[_run_starts(times)]
     n_times, n_slices = len(times), min(_MAX_SLICES, -(-n_kept // _SLICE_MENTIONS))
+    rank = np.empty(len(doc_us), np.int16 if n_times < 2**15 else np.int32)
+    for at in range(0, len(doc_us), _CHUNK):
+        rank[at:at + _CHUNK] = np.searchsorted(times, doc_us[at:at + _CHUNK])
+    rank[~keep] = -1  # a dropped document
+    rank = np.repeat(rank, size)
     # a code's slice: its share of lower-coded mentions; a dropped document's mentions are in none
     per_code = np.zeros(len(cols.codes), np.int64)
     np.add.at(per_code, code, 1)  # bincount would copy the codes to intp first
@@ -175,7 +216,9 @@ def build_timelines(
     for at in (np.flatnonzero(part == s) for s in range(n_slices)):
         if not len(at):
             continue
-        key = code[at].astype(np.int64) * n_times + rank[at]
+        key = code[at].astype(np.int64)
+        key *= n_times
+        key += rank[at]
         counts = count[at]
         del at
         order = np.argsort(key)

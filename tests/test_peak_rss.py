@@ -2,11 +2,12 @@
 
 A pre-tagged run holds its mentions in columns until the sampler's mask,
 then merges them into timelines.  Its peak resident size may grow by less
-than 30 bytes per added mention: 4 bytes of name code and 4 of count, plus
-what the merge holds beside them.  The runs are measured under
-perfbench/spawn.py, as the benchmark measures them, since a child's
-ru_maxrss on Linux starts from the resident size of the process that
-spawned it.
+than 10 bytes per added mention: 2 bytes of name code and 1 of count
+(while the names and counts are small), plus what the merge holds beside
+them, 3 bytes of time rank and slice and the timelines it returns.  The
+runs are measured under perfbench/spawn.py, as the benchmark measures
+them, since a child's ru_maxrss on Linux starts from the resident size of
+the process that spawned it.
 """
 
 import json
@@ -51,10 +52,10 @@ def _peak_rss_bytes(corpus: Path, out: Path) -> float:
     return cost["rss_mb"] * 2**20
 
 
-def test_peak_rss_grows_under_30_bytes_per_mention(tmp_path):
+def test_peak_rss_grows_under_10_bytes_per_mention(tmp_path):
     small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
     _write_corpus(small, 40_000)
     _write_corpus(large, 160_000)
     grown = _peak_rss_bytes(large, tmp_path / "large") - _peak_rss_bytes(small, tmp_path / "small")
     per_mention = grown / ((160_000 - 40_000) * PER_DOC)
-    assert per_mention < 30, f"{per_mention:.1f} bytes per added mention"
+    assert per_mention < 10, f"{per_mention:.1f} bytes per added mention"

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import shutil
+import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -24,6 +25,7 @@ from famespan import cli, corpus_io, forks
 from famespan.cli import main
 from famespan.corpus_io import ListSink, read_documents
 from famespan.errors import SchemaError
+from famespan.timeline import MentionColumns
 
 WINDOW = ["--window", "2005-01", "2005-05"]
 NAMES = ("Ada Lovelace", "Grace Hopper", "Alan Turing")
@@ -214,6 +216,40 @@ def test_byte_ranges_of_a_cr_only_file_hold_one_read_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
     assert ranges == [(0, None)] and peak < 4 * corpus_io._READ_BYTES
+
+
+def test_a_share_is_merged_without_a_second_copy(tmp_path):
+    # while the child's share is merged, the parent holds the merged
+    # columns, one of the share's columns on its way in and little more:
+    # each column's bytes are dropped once appended
+    path = tmp_path / "corpus.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(30_000):
+            mentions = [[NAMES[(i + k) % 3], 1 + (i + k) % 4] for k in range(5)]
+            fh.write(json.dumps({"id": f"d{i}", "date": DATES[i % 4], "mentions": mentions}) + "\n")
+
+    def columns(sink) -> int:
+        held = (sink.months, sink.scores, sink.collect.name_code, sink.collect.count,
+                sink.collect.doc_us, sink.collect.doc_size)
+        return sum(map(sys.getsizeof, held))
+
+    class Probe(cli._Keyed):
+        def merge(self, held):
+            share = [len(b) for b in (*held[:2], *held[2]) if isinstance(b, bytes)]
+            entry, before = tracemalloc.get_traced_memory()[0], columns(self)
+            tracemalloc.reset_peak()
+            super().merge(held)
+            others = entry - before - sum(share)
+            self.peak_over = tracemalloc.get_traced_memory()[1] - others - columns(self) - max(share)
+
+    sink = Probe(lambda doc_id: 0.5, MentionColumns())
+    tracemalloc.start()
+    try:
+        with shards(2):
+            read_documents(path, "pretagged").read(sink)
+    finally:
+        tracemalloc.stop()
+    assert len(sink.months) == 30_000 and sink.peak_over < 128 << 10  # 0.63 MB over when held twice
 
 
 @pytest.mark.parametrize("n", [2, 3])

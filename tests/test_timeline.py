@@ -268,12 +268,12 @@ def test_merge_holds_few_words_per_mention(time_of_day):
     cols = MentionColumns()
     for i in range(n_names):
         cols.codes[f"n{i}"]
-    cols.name_code.frombytes(code.tobytes())
+    cols.name_code.frombytes(code.astype(cols.name_code.typecode).tobytes())
     cols.count.frombytes(rng.integers(1, 4, code.size).astype(cols.count.typecode).tobytes())
     keep = rng.random(n_docs) < 0.95
     doc_us = BASES_US[1] + day * DAY_US + (rng.integers(0, DAY_US, n_docs) if time_of_day else 0)
     cols.doc_us.frombytes(doc_us.tobytes())
-    cols.doc_size.frombytes(np.full(n_docs, per_doc, dtype=np.int32).tobytes())
+    cols.doc_size.frombytes(np.full(n_docs, per_doc, dtype=cols.doc_size.typecode).tobytes())
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
