@@ -87,9 +87,10 @@ _PERIODS_FILE_LABEL = {
 
 _WORD_LISTS = ("gazetteer", "honorifics", "stoplist")
 
-# (setting, test, what it must be) of the values the statistics, the name
-# filters and the period filter reject, checked before any input is read
+# (setting, test, what it must be) of the values the sampler, statistics,
+# name filters and period filter reject, checked before any input is read
 _RANGES = (
+    ("n_min", lambda v: v >= 1, "at least 1"),
     ("reps", lambda v: v >= 1, "at least 1"),
     ("level", lambda v: 0 < v < 1, "in (0, 1)"),
     ("tail_quantile", lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -244,9 +245,9 @@ def ingest(inputs: Sequence[Path], schema: str, window: AnalysisWindow, sampler_
         reader.read(keyed, window)
         if reader.digest is not None and digests is not None:
             digests[str(path)] = reader.digest
-    volumes, keep, kept_counts = sample_columns(keyed.months, keyed.scores, sampler_cfg)
+    volumes, keep, kept = sample_columns(keyed.months, keyed.scores, sampler_cfg)
     if report_path is not None:
-        write_sampling_report(volumes, kept_counts, report_path)
+        write_sampling_report(volumes, kept, report_path)
     return keep
 
 
@@ -529,6 +530,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_ranges(vars(args))
     sampler_cfg = SamplerConfig(args.n_min, args.seed, args.underfull_policy)
     window = _parse_window(args.window)
     _check_outputs(args.input, {"--out": args.out, "--report": args.report})

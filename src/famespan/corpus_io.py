@@ -19,12 +19,12 @@ lines in the window become a Block of columns; records() flattens a
 block into ``(id, Stamp, payload)``, the payload being a raw line's text or
 the (names, counts) lists of a pre-tagged one.
 
-Lines end in LF, CRLF or CR.  Bytes are decoded in pieces cut at the
-last line end of a read of _READ_BYTES.  A piece that is not UTF-8 is
-decoded with each bad byte as a lone surrogate; in such a piece, or one
-holding a ``\\ud`` escape, a line with a lone surrogate is malformed:
-before parsing it is not UTF-8, after it an escape left one in its id,
-text or a name.
+Lines end in LF, CRLF or CR.  _lines decodes them _READ_BYTES at a time
+through the standard library's incremental decoders.  A read that is not
+UTF-8 is decoded with each bad byte as a lone surrogate; in the lines it
+touches, or in lines holding a ``\\ud`` escape, a line with a lone
+surrogate is malformed: before parsing it is not UTF-8, after it an
+escape left one in its id, text or a name.
 
 DocumentReader.read() feeds a whole file to a Sink.  A regular file is
 cut after LF bytes into forks.share_count byte ranges: one per
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import codecs
 import hashlib
+import io
 import json
 import os
 import re
@@ -55,7 +56,7 @@ import stat
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
@@ -66,9 +67,9 @@ from .errors import DataError, SchemaError
 
 MALFORMED_FRACTION_LIMIT = 0.10
 
-# A file's date memo starts afresh once it holds this many strings: a file
-# of mostly distinct dates (a sparse century corpus) then keeps about
-# 0.3 MB of them instead of one entry per line, and a date-sorted file
+# A range's date memo holds this many strings, dropping the least recently
+# used: a file of mostly distinct dates (a sparse century corpus) then keeps
+# about 0.3 MB of them instead of one entry per line, and a date-sorted file
 # still parses each distinct string once.
 _STAMP_MEMO_LIMIT = 1024
 
@@ -132,22 +133,10 @@ class Stamp(NamedTuple):
     inside: bool
 
 
-class _Stamps(dict):
-    """One file's date memo: exact date string -> Stamp, at most
-    _STAMP_MEMO_LIMIT of them.  A string that does not parse raises on
-    every lookup and is never stored."""
-
-    def __init__(self, window: AnalysisWindow | None):
-        super().__init__()
-        self.window = window
-
-    def __missing__(self, raw: str) -> Stamp:
-        if len(self) >= _STAMP_MEMO_LIMIT:
-            self.clear()
-        ts = parse_timestamp(raw)
-        inside = self.window is None or self.window.contains(ts)
-        stamp = self[raw] = Stamp(ts, epoch_us(ts), month_index(ts.year, ts.month), inside)
-        return stamp
+def _stamp(window: AnalysisWindow | None, raw: str) -> Stamp:
+    """The Stamp of a date string; ValueError if it does not parse."""
+    ts = parse_timestamp(raw)
+    return Stamp(ts, epoch_us(ts), month_index(ts.year, ts.month), window is None or window.contains(ts))
 
 
 Payload = Union[str, tuple[list[str], list[int]]]
@@ -238,7 +227,7 @@ class DocumentReader:
     def _tsv_ids(self) -> str:
         """The _sniff of a regular file, read ahead of its byte ranges."""
         with open(self.path, "rb") as fh:
-            for lines, _ in _decoded_pieces(fh, 0, None):
+            for lines, _ in _lines(fh, 0, None):
                 if (tsv_ids := self._sniff(lines)) is not None:
                     return tsv_ids
         return ""
@@ -271,13 +260,14 @@ class DocumentReader:
         it from its own lines."""
         stats, errors = tally = ReadStats(), []
         schema = self.schema
-        stamps = _Stamps(window)
+        # lru_cache stores no exception, so a date that does not parse fails on every line
+        stamps = lru_cache(_STAMP_MEMO_LIMIT)(partial(_stamp, window))
         before, lineno = 0, 1
         with open(self.path, "rb") if fh is None else nullcontext(fh) as source:
             if start:
                 before = _count_lines(source, start) if tsv_ids else 0
                 source.seek(start)
-            for lines, suspect in _decoded_pieces(source, start, end):
+            for lines, suspect in _lines(source, start, end):
                 if tsv_ids is None:
                     tsv_ids = self._sniff(lines)
                 numbered = enumerate(lines, start=lineno)
@@ -376,62 +366,52 @@ def _byte_ranges(fh: BinaryIO) -> list[tuple[int, int | None]]:
     return list(zip(cuts, [*cuts[1:], None]))
 
 
-def _pieces(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
-    """The next ``size`` bytes of ``fh`` (the rest of it if None) in pieces,
-    each but the last ending at the last line end of a read of _READ_BYTES,
-    just after a "\\n" or a lone "\\r", so that no "\\r\\n" is split and a
-    piece holds at most its first line and one read more."""
-    pending: list = []
-    while size is None or size > 0:
-        data = fh.read(_READ_BYTES if size is None else min(size, _READ_BYTES))
+def _lines(fh: BinaryIO, start: int, end: int | None) -> Iterator[tuple[list[str], bool]]:
+    """The lines of bytes [start, end) of ``fh`` (to its end if None), which
+    is at ``start``, split at LF, CRLF and CR as universal newlines split
+    them, with a byte-order mark at the file's start dropped.  Each read of
+    _READ_BYTES that ends lines gives those lines, carrying the unfinished
+    one, so a batch holds at most its first line and one read more.  A batch
+    is suspect if a read it touches is not UTF-8, and so was decoded with
+    each bad byte as a lone surrogate, or if it holds a ``\\ud`` escape."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig" if start == 0 else "utf-8")()
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
+    carried: list[str] = []
+    carried_bad = False
+    while True:
+        data = fh.read(_READ_BYTES if end is None else min(end - fh.tell(), _READ_BYTES))
+        if not data:  # at the end utf-8-sig would drop a file that is only the start of a BOM
+            decoder.setstate((decoder.getstate()[0], 0))
+        state = decoder.getstate()
+        try:
+            text, bad = decoder.decode(data, not data), False
+        except UnicodeDecodeError:
+            # an incremental decoder may switch error handlers between calls
+            decoder.setstate(state)
+            decoder.errors = "surrogateescape"
+            text, bad = decoder.decode(data, not data), True
+            decoder.errors = "strict"
+        text = newlines.decode(text, not data)
+        carried_bad = carried_bad or bad
+        if data and "\n" not in text:
+            carried.append(text)
+            continue
+        text = "".join([*carried, text])
+        lines = text.split("\n")
+        carried = [lines.pop()] if data or not lines[-1] else []
+        if lines:
+            # a backslash is found by memchr, a three-character string is not
+            yield lines, carried_bad or "\\" in text and ("\\ud" in text or "\\uD" in text)
+        carried_bad = bad
         if not data:
-            break
-        if size is not None:
-            size -= len(data)
-        cut = data.rfind(b"\n") + 1
-        # a "\r" past the last "\n" and before the last byte ends a line; so
-        # does one that ended the last read (a "\n" after it would be a cut)
-        cut = data.rfind(b"\r", cut, len(data) - 1) + 1 or cut
-        if cut or pending and pending[-1][-1:] == b"\r":
-            pending.append(memoryview(data)[:cut])
-            yield b"".join(pending)
-            pending = []
-        pending.append(memoryview(data)[cut:])
-    if rest := b"".join(pending):
-        yield rest
-
-
-def _decoded_pieces(fh: BinaryIO, start: int, end: int | None) -> Iterator[tuple[list[str], bool]]:
-    """The _decode of each piece of bytes [start, end) of ``fh``, which is
-    at ``start``; a byte-order mark at the start of the file is dropped."""
-    for k, piece in enumerate(_pieces(fh, None if end is None else end - start)):
-        yield _decode(piece.removeprefix(codecs.BOM_UTF8) if k == 0 and start == 0 else piece)
+            return
 
 
 def _count_lines(fh: BinaryIO, end: int) -> int:
     """The number of lines in the first ``end`` bytes of ``fh``, which end
     just after a newline."""
     fh.seek(0)
-    return sum(piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
-               for piece in _pieces(fh, end))
-
-
-def _decode(piece: bytes) -> tuple[list[str], bool]:
-    """The lines of a piece, split at LF, CRLF and CR as a text file's
-    universal newlines split them, and whether the piece is suspect: not
-    UTF-8, so decoded with each bad byte as a lone surrogate, or holding a
-    ``\\ud`` escape."""
-    try:
-        text, suspect = piece.decode("utf-8"), False
-    except UnicodeDecodeError:
-        text, suspect = piece.decode("utf-8", "surrogateescape"), True
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    # a backslash is found by memchr, a three-character string is not
-    return lines, suspect or "\\" in text and ("\\ud" in text or "\\uD" in text)
+    return sum(len(lines) for lines, _ in _lines(fh, 0, end))
 
 
 class _Hashed:
@@ -454,7 +434,7 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _parse_json_line(line: str, schema: str, stamps: _Stamps) -> tuple[str, Stamp, str | list]:
+def _parse_json_line(line: str, schema: str, stamps: Callable[[str], Stamp]) -> tuple[str, Stamp, str | list]:
     """The id, Stamp and payload of a stripped line: a raw line's text, a
     pre-tagged line's mention array with its items unchecked."""
     try:
@@ -468,7 +448,7 @@ def _parse_json_line(line: str, schema: str, stamps: _Stamps) -> tuple[str, Stam
     doc_id = rec["id"]
     if not isinstance(doc_id, str) or not doc_id:
         raise ValueError("id must be a non-empty string")
-    stamp = stamps[str(rec["date"])]
+    stamp = stamps(str(rec["date"]))
     if schema == "raw":
         text = rec["text"]
         if not isinstance(text, str):
@@ -542,11 +522,11 @@ def _block(records: list[tuple], linenos: list[int], failed: list, schema: str) 
     return Block(ids, stamps, None, names, counts, list(map(len, payloads)))
 
 
-def _parse_tsv_line(line: str, doc_id: str, stamps: _Stamps) -> Record:
+def _parse_tsv_line(line: str, doc_id: str, stamps: Callable[[str], Stamp]) -> Record:
     parts = line.split("\t")
     if len(parts) != 3:
         raise ValueError(f"expected 3 tab-separated fields, got {len(parts)}")
-    stamp = stamps[parts[0]]
+    stamp = stamps(parts[0])
     name = parts[1].strip()
     if not name:
         raise ValueError("empty name")

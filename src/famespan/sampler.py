@@ -11,7 +11,6 @@ sufficiently full month is n_min.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
@@ -22,16 +21,6 @@ import numpy as np
 from .constants import UNDERFULL_POLICIES
 from .dates import month_from_index
 from .errors import ConfigError, UnderfullMonth
-
-
-@dataclass(frozen=True)
-class MonthVolume:
-    month: tuple[int, int]
-    n_t: int
-
-    def __post_init__(self):
-        if self.n_t < 0:
-            raise ValueError("document count cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -62,50 +51,39 @@ def keep_scorer(seed: int) -> Callable[[str], float]:
     return score
 
 
-def keep_probabilities(volumes: list[MonthVolume], cfg: SamplerConfig) -> dict[tuple[int, int], float]:
-    """Each month's keep probability, min(1, n_min/n_t); months below
-    n_min follow cfg.underfull_policy."""
-    underfull = [vol for vol in volumes if vol.n_t < cfg.n_min]
-    if underfull and cfg.underfull_policy == "fail":
-        (year, month), n_t = underfull[0].month, underfull[0].n_t
-        raise UnderfullMonth(f"month {year:04d}-{month:02d} has {n_t} documents < n_min={cfg.n_min}")
-    fallback = 1.0 if cfg.underfull_policy == "keep-all" else 0.0
-    return {vol.month: min(1.0, cfg.n_min / vol.n_t) if vol.n_t >= cfg.n_min else fallback
-            for vol in volumes}
-
-
 def sample_columns(
     months: Sequence[int], scores: Sequence[float], cfg: SamplerConfig
-) -> tuple[list[MonthVolume], np.ndarray, dict[tuple[int, int], int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The keyed sampler over columns of month indices and keep scores
-    (keep_scorer): the month volumes, the mask that keeps each document
-    with its month's probability, and the kept count of each month."""
+    (keep_scorer): the (month index, n_t) row of each month present, in
+    month order; the mask that keeps each document with probability
+    min(1, n_min/n_t), or as cfg.underfull_policy says in a month below
+    n_min; and each month's kept count."""
     months = np.asarray(months, dtype=np.int32)
     first = int(months.min()) if months.size else 0
     offsets = months - first  # a century is about 1,200 offsets
     n_t = np.bincount(offsets)
     present = np.flatnonzero(n_t)
-    volumes = [MonthVolume(month_from_index(first + m), n)
-               for m, n in zip(present.tolist(), n_t[present].tolist())]
-    probs = keep_probabilities(volumes, cfg)
+    volumes = np.column_stack([present + first, n_t[present]])
+    underfull = n_t[present] < cfg.n_min
+    if cfg.underfull_policy == "fail" and underfull.any():
+        index, count = volumes[underfull][0].tolist()
+        year, month = month_from_index(index)
+        raise UnderfullMonth(f"month {year:04d}-{month:02d} has {count} documents < n_min={cfg.n_min}")
+    # n_min/n_t is at most 1 in a full month; float64 divides counts below 2**53 as Python does
     p = np.zeros(n_t.size)
-    p[present] = list(probs.values())
+    p[present] = np.where(underfull, float(cfg.underfull_policy == "keep-all"), cfg.n_min / n_t[present])
     # scores lie in [0, 1), so this is p >= 1 or (p > 0 and score < p)
     keep = np.asarray(scores) < p[offsets]
     kept = np.bincount(offsets[keep], minlength=n_t.size)[present]
-    return volumes, keep, dict(zip(probs, kept.tolist()))
+    return volumes, keep, kept
 
 
-def write_sampling_report(
-    volumes: list[MonthVolume],
-    kept_counts: dict[tuple[int, int], int],
-    path: str | Path,
-) -> None:
-    """CSV audit trail: month, n_t, kept."""
+def write_sampling_report(volumes: np.ndarray, kept: np.ndarray, path: str | Path) -> None:
+    """CSV audit trail: month, n_t, kept, from sample_columns' volumes and
+    kept counts."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["month", "n_t", "kept"])
-        for vol in volumes:
-            writer.writerow(
-                [f"{vol.month[0]:04d}-{vol.month[1]:02d}", vol.n_t, kept_counts.get(vol.month, 0)]
-            )
+        fh.write("month,n_t,kept\n")
+        for (index, n_t), n_kept in zip(volumes.tolist(), kept.tolist()):
+            year, month = month_from_index(index)
+            fh.write(f"{year:04d}-{month:02d},{n_t},{n_kept}\n")

@@ -30,13 +30,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .corpus_io import AnalysisWindow, record_json
 from .dates import US_PER_DAY, Timestamp, from_epoch_us, parse_month, parse_timestamp
-from .errors import ConfigError
+from .errors import ConfigError, UnderfullMonth
 from .name_extract import RecognizerConfig, _resolve_run
 from .peaks import (
     METHOD_CONTINUITY,
@@ -45,7 +45,7 @@ from .peaks import (
     FamePeriod,
     WeekGrid,
 )
-from .sampler import MonthVolume, SamplerConfig, keep_probabilities, keep_scorer
+from .sampler import SamplerConfig, keep_scorer
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -270,6 +270,12 @@ def window_filter(docs: Iterable[Document], window: AnalysisWindow) -> Iterator[
             yield doc
 
 
+class MonthVolume(NamedTuple):
+    """A month, as (year, month), and its document count."""
+    month: tuple[int, int]
+    n_t: int
+
+
 def month_volumes(docs: Iterable[Document]) -> list[MonthVolume]:
     """Exact per-month document counts, sorted by month."""
     months = Counter((d.timestamp.year, d.timestamp.month) for d in docs)
@@ -282,18 +288,26 @@ def sample_uniform(
     cfg: SamplerConfig,
     kept_counts: dict[tuple[int, int], int] | None = None,
 ) -> Iterator[Document]:
-    """Keep each document in month t with probability min(1, n_min/n_t).
+    """Keep each document in month t with probability min(1, n_min/n_t); in
+    a month below n_min keep all under "keep-all", none under "drop-month",
+    and raise UnderfullMonth for the first such month under "fail".
 
     ``volumes`` must cover every month present in ``docs``.  Pass a dict
     as ``kept_counts`` to collect per-month kept totals for the sampling
     report.
     """
-    probs = keep_probabilities(volumes, cfg)
+    n_t = dict(volumes)
+    for (year, month), n in volumes:
+        if n < cfg.n_min and cfg.underfull_policy == "fail":
+            raise UnderfullMonth(f"month {year:04d}-{month:02d} has {n} documents < n_min={cfg.n_min}")
     score = keep_scorer(cfg.seed)
     for doc in docs:
         month = doc.timestamp.year, doc.timestamp.month
-        p = probs[month]
-        if p >= 1.0 or (p > 0.0 and score(doc.id) < p):
+        if n_t[month] < cfg.n_min:
+            keep = cfg.underfull_policy == "keep-all"
+        else:
+            keep = score(doc.id) < min(1.0, cfg.n_min / n_t[month])
+        if keep:
             if kept_counts is not None:
                 kept_counts[month] = kept_counts.get(month, 0) + 1
             yield doc

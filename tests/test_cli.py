@@ -382,6 +382,22 @@ def test_out_of_range_settings_are_config_errors_before_any_read(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["sample", "periods", "run"])
+def test_n_min_below_1_is_a_config_error_before_any_read(tmp_path, capsys, command, value):
+    # neither the corpus nor the word list exists: opening one would be a data error, exit 3
+    out = tmp_path / "out"
+    args = [command, "--input", str(tmp_path / "missing.jsonl"), "--schema", "raw", "--window", "2005-01",
+            "2005-07", "--n-min", value, "--seed", "1"]
+    if command == "sample":
+        args += ["--out", str(out)]
+    else:
+        args += ["--gazetteer", str(tmp_path / "missing.txt"), "--out-dir", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"famespan: error: --n-min must be at least 1, got {value}\n"
+    assert not out.exists()
+
+
 def test_a_setting_at_its_range_end_is_accepted(tmp_path, corpus_path):
     assert run_to(corpus_path, tmp_path / "out", extra=["--reps", "1", "--tail-quantile", "1",
                                                          "--top-fraction", "1/1000000", "--top-k", "1",

@@ -237,7 +237,7 @@ def test_line_endings_and_decoding_faults(tmp_path):
 
 @pytest.mark.parametrize("tsv", [False, True], ids=["jsonl", "tsv"])
 def test_lone_cr_line_ends_are_decoded_in_bounded_pieces(tmp_path, monkeypatch, tsv):
-    # pieces are cut after a lone CR as after a LF, and never inside a CRLF,
+    # _lines ends a line at a lone CR as at a LF, and never inside a CRLF,
     # so line numbers, blank counts and TSV ids are those of the LF file
     def line(i: int) -> bytes:
         if i % 9 == 4:
@@ -258,10 +258,9 @@ def test_lone_cr_line_ends_are_decoded_in_bounded_pieces(tmp_path, monkeypatch, 
         f = tmp_path / name / "c.txt"
         f.write_bytes(b"".join(line + cycle[i % len(cycle)] for i, line in enumerate(lines)))
         with open(f, "rb") as fh:
-            pieces = list(corpus_io._pieces(fh, None))
-        assert b"".join(pieces) == f.read_bytes()
-        assert max(map(len, pieces)) <= 2 * corpus_io._READ_BYTES
-        assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(pieces, pieces[1:]))
+            batches = [batch for batch, _ in corpus_io._lines(fh, 0, None)]
+        assert [line for batch in batches for line in batch] == [line.decode() for line in lines]
+        assert max(sum(map(len, batch)) + len(batch) for batch in batches) <= 2 * corpus_io._READ_BYTES
         reader, docs = read_all(f, "pretagged")
         ids = [doc_id.rsplit(":", 1)[-1] for doc_id, _, _ in docs]
         results[name] = ids, [d[1:] for d in docs], vars(reader.stats)
@@ -270,3 +269,39 @@ def test_lone_cr_line_ends_are_decoded_in_bounded_pieces(tmp_path, monkeypatch, 
     assert ids[:4] == (["1", "2", "3", "4"] if tsv else ["d0", "d1", "d2", "d3"]) and len(ids) == 266
     assert (stats["lines"], stats["blank"], stats["malformed"]) == (300, 33, 1)
     assert [e.split(":")[:2] for e in stats["errors"]] == [["c.txt", "51"]]
+
+
+_SPLIT_READS = {
+    # each read is one byte, so every multi-byte sequence is split over reads
+    "bom": (b"\xef\xbb\xbf" + b'{"id": "a", "date": "2001-05-02", "text": "x"}\n', ["a"], []),
+    "crlf": (b'{"id": "a", "date": "2001-05-02", "text": "x"}\r\n\r\n'
+             b'{"id": "b", "date": "2001-05-02", "text": "y"}\r\n', ["a", "b"], []),
+    "2-byte": ('{"id": "\u00e9", "date": "2001-05-02", "text": "caf\u00e9"}\n'.encode(), ["\u00e9"], []),
+    "3-byte": ('{"id": "\u20ac", "date": "2001-05-02", "text": "\u20ac5"}\n'.encode(), ["\u20ac"], []),
+    "4-byte": ('{"id": "\U0001F600", "date": "2001-05-02", "text": "\U0001F600"}\n'.encode(),
+               ["\U0001F600"], []),
+    # the bad read is long past when the line ends in a clean one
+    "bad-early": (b'{"id": "a\xff", "date": "2001-05-02", "text": "' + b"x" * 40 + b'"}\n'
+                  + b'{"id": "b", "date": "2001-05-02", "text": "y"}\n' * 10, ["b"] * 10,
+                  ["c.jsonl:1: invalid UTF-8"]),
+}
+
+
+@pytest.mark.parametrize("case", _SPLIT_READS)
+def test_sequences_split_over_reads(tmp_path, monkeypatch, case):
+    data, ids, errors = _SPLIT_READS[case]
+    monkeypatch.setattr(corpus_io, "_READ_BYTES", 1)
+    f = tmp_path / "c.jsonl"
+    f.write_bytes(data)
+    reader, docs = read_all(f, "raw")
+    assert [doc_id for doc_id, _, _ in docs] == ids
+    assert reader.stats.errors == errors
+
+
+@pytest.mark.parametrize("read_bytes", [1, 65536])
+def test_a_file_that_is_part_of_a_byte_order_mark_is_not_utf8(tmp_path, monkeypatch, read_bytes):
+    monkeypatch.setattr(corpus_io, "_READ_BYTES", read_bytes)
+    f = tmp_path / "c.jsonl"
+    f.write_bytes(b"\xef\xbb")
+    with pytest.raises(SchemaError, match="1 of 1 lines malformed.*c.jsonl:1: invalid UTF-8"):
+        read_all(f, "raw")

@@ -23,7 +23,7 @@ from famespan.corpus_io import AnalysisWindow, ListSink, read_documents, write_d
 from famespan.dates import epoch_us, iso
 from famespan.errors import DataError, FamespanError
 from famespan.name_extract import Mention, load_recognizer, phrase_counts
-from famespan.sampler import UNDERFULL_POLICIES, SamplerConfig, write_sampling_report
+from famespan.sampler import UNDERFULL_POLICIES, SamplerConfig
 from famespan.synth import Document, document_to_json, month_volumes, sample_uniform, window_filter
 from famespan.timeline import build_timelines
 
@@ -179,7 +179,9 @@ def test_single_pass_matches_streaming_reference(corpora, tmp_path, capsys, case
 
     assert main(sample_args) == 0
     write_documents(map(document_to_json, kept), tmp_path / "ref_sampled.jsonl")
-    write_sampling_report(volumes, kept_counts, tmp_path / "ref_report.csv")
+    (tmp_path / "ref_report.csv").write_text("month,n_t,kept\n" + "".join(
+        f"{year:04d}-{month:02d},{n_t},{kept_counts.get((year, month), 0)}\n"
+        for (year, month), n_t in volumes), encoding="utf-8")
     assert (tmp_path / "sampled.jsonl").read_bytes() == (tmp_path / "ref_sampled.jsonl").read_bytes()
     assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "ref_report.csv").read_bytes()
 

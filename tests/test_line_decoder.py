@@ -7,6 +7,7 @@ fields, or the same exception type and message, either way.
 """
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -60,7 +61,7 @@ def _lines(draw):
 
 def _outcome(line: str, schema: str):
     try:
-        return repr(corpus_io._parse_json_line(line, schema, corpus_io._Stamps(None)))
+        return repr(corpus_io._parse_json_line(line, schema, partial(corpus_io._stamp, None)))
     except (ValueError, KeyError, TypeError) as exc:
         return type(exc), str(exc)
 

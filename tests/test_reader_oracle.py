@@ -8,8 +8,8 @@ line with no end.  Each file is read in one range with _READ_BYTES of 1,
 7, 256 and 65536 bytes, and in 2 or 3 forced byte ranges (as in
 test_shards.py) with one of those read sizes.  Records, ReadStats,
 the first errors, TSV ids and digest, and the 10% limit must be the
-reference's every time, and no decoded piece may hold more than its
-first line and one read.
+reference's every time, and no batch of decoded lines may hold more
+than its first line and one read.
 """
 
 import hashlib
@@ -163,11 +163,14 @@ def _assert_reads_as_reference(reader, sink, raised: bool, expected) -> None:
     assert raised == expected.too_many_malformed
 
 
-def _bounded(decode, most: int):
-    """``decode``, checking first that a piece holds at most ``most`` bytes."""
-    def checked(piece: bytes):
-        assert len(piece) <= most, f"a piece of {len(piece)} bytes"
-        return decode(piece)
+def _bounded(lines, most: int):
+    """``lines``, checking that each batch holds at most ``most`` characters
+    with its line ends (a character is never fewer bytes than one)."""
+    def checked(*args):
+        for batch, suspect in lines(*args):
+            size = sum(map(len, batch)) + len(batch)
+            assert size <= most, f"a batch of {size} characters"
+            yield batch, suspect
     return checked
 
 
@@ -190,14 +193,14 @@ def test_reader_matches_the_reference(tmp_path_factory, kind, data):
     path = tmp_path_factory.mktemp(kind) / "c.txt"
     path.write_bytes(content)
     expected = reference_read(content, schema, window)
-    # a piece holds at most its first line and one read more
+    # a batch holds at most its first line and one read more
     longest = max(map(len, re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)?", content)))
     forked = data.draw(st.sampled_from(READ_BYTES), label="read_bytes"), data.draw(st.sampled_from([2, 3]))
     for read_bytes, ranges in [(read_bytes, 1) for read_bytes in READ_BYTES] + [forked]:
         reader = read_documents(path, schema)
         with shards(ranges), pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus_io, "_READ_BYTES", read_bytes)
-            mp.setattr(corpus_io, "_decode", _bounded(corpus_io._decode, longest + read_bytes))
+            mp.setattr(corpus_io, "_lines", _bounded(corpus_io._lines, longest + read_bytes))
             sink, raised = _read(reader, window)
         _assert_reads_as_reference(reader, sink, raised, expected)
         assert reader.digest == expected.digest

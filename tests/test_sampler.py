@@ -6,13 +6,7 @@ import pytest
 
 from famespan.dates import month_index
 from famespan.errors import ConfigError, UnderfullMonth
-from famespan.sampler import (
-    MonthVolume,
-    SamplerConfig,
-    keep_scorer,
-    sample_columns,
-    write_sampling_report,
-)
+from famespan.sampler import SamplerConfig, keep_scorer, sample_columns, write_sampling_report
 
 
 def docs_in_month(year, month, n, prefix=""):
@@ -38,14 +32,12 @@ def sample(ids, months, cfg):
 def test_month_volumes_counts():
     ids, months = joined(docs_in_month(1900, 2, 1), docs_in_month(1900, 1, 3))
     volumes, _, _ = sample(ids, months, SamplerConfig(n_min=1, seed=1))
-    assert volumes == [
-        MonthVolume((1900, 1), 3),
-        MonthVolume((1900, 2), 1),
-    ]
+    assert volumes.tolist() == [[month_index(1900, 1), 3], [month_index(1900, 2), 1]]
 
 
 def test_month_volumes_empty():
-    assert sample([], [], SamplerConfig(n_min=1, seed=1)) == ([], [], {})
+    volumes, kept, kept_counts = sample([], [], SamplerConfig(n_min=1, seed=1))
+    assert volumes.shape == (0, 2) and kept == [] and kept_counts.tolist() == []
 
 
 def test_month_at_target_kept_fully():
@@ -84,7 +76,7 @@ def test_underfull_policies():
     ids, months = docs_in_month(1894, 5, 10)
     assert sample(ids, months, SamplerConfig(100, 1, "drop-month"))[1] == []
     assert sample(ids, months, SamplerConfig(100, 1, "keep-all"))[1] == ids
-    with pytest.raises(UnderfullMonth):
+    with pytest.raises(UnderfullMonth, match="^month 1894-05 has 10 documents < n_min=100$"):
         sample(ids, months, SamplerConfig(100, 1, "fail"))
 
 
@@ -105,10 +97,7 @@ def test_keep_score_uniform_range():
 def test_sampling_report(tmp_path):
     ids, months = joined(docs_in_month(1950, 6, 100), docs_in_month(1950, 7, 20))
     vols, kept, kept_counts = sample(ids, months, SamplerConfig(n_min=50, seed=5))
-    assert kept_counts == {(1950, 6): sum(i.startswith("1950-6-") for i in kept), (1950, 7): 0}
+    assert kept_counts.tolist() == [sum(i.startswith("1950-6-") for i in kept), 0]
     out = tmp_path / "report.csv"
     write_sampling_report(vols, kept_counts, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "month,n_t,kept"
-    assert lines[1].startswith("1950-06,100,")
-    assert lines[2] == f"1950-07,20,{kept_counts.get((1950, 7), 0)}"
+    assert out.read_text() == f"month,n_t,kept\n1950-06,100,{kept_counts[0]}\n1950-07,20,0\n"

@@ -8,6 +8,7 @@ there and still be what the stages call.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -35,18 +36,30 @@ def _env(env_update: dict | None) -> dict:
     return env
 
 
-def _python(code: str, *args: str, env_update: dict | None = None) -> str:
+def _python(code: str, *args: str, env_update: dict | None = None, python: str = sys.executable) -> str:
     """Run ``code`` in a fresh interpreter; its stdout."""
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=_env(env_update), cwd=ROOT,
+    proc = subprocess.run([python, "-c", code, *args], env=_env(env_update), cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def test_extract_imports_no_numpy(tmp_path):
+# a byte-order mark, CRLF, CR and LF line ends, a byte that is not UTF-8, and
+# a paired and a lone surrogate escape
+_RAW_CORPUS = (b"\xef\xbb\xbf" + b'{"id": "a", "date": "1950-01-02", "text": "Mrs. Ada Lovelace spoke."}\r\n'
+               b'{"id": "b", "date": "1950-01-03", "text": "Ada Lovelace \\ud83d\\ude00 smiled."}\r'
+               b'{"id": "c\xff", "date": "1950-01-04", "text": "Ada Lovelace"}\n'
+               b'{"id": "d", "date": "1950-01-05", "text": "Ada Lovelace \\ud800"}\r\n'
+               + b"".join(b'{"id": "e%d", "date": "1950-02-01", "text": "Lady Ada Lovelace."}\n' % i
+                          for i in range(20)))
+
+
+def _extract(tmp_path: Path, python: str = sys.executable) -> tuple[str, bytes]:
+    """extract over _RAW_CORPUS in a fresh ``python``: its stdout, with
+    whether numpy and OPENBLAS_NUM_THREADS were loaded and set, and the
+    bytes it wrote."""
     raw, gaz, out = tmp_path / "raw.jsonl", tmp_path / "gaz.txt", tmp_path / "tagged.jsonl"
-    raw.write_text(json.dumps({"id": "a", "date": "1950-01-02", "text": "Mrs. Ada Lovelace spoke."})
-                   + "\n", encoding="utf-8")
+    raw.write_bytes(_RAW_CORPUS)
     gaz.write_text("Ada\n", encoding="utf-8")
     loaded = _python(
         "import sys\n"
@@ -55,9 +68,30 @@ def test_extract_imports_no_numpy(tmp_path):
         "assert main(['extract', '--input', sys.argv[1], '--gazetteer', sys.argv[2],"
         " '--out', sys.argv[3]]) == 0\n"
         "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in __import__('os').environ)\n",
-        str(raw), str(gaz), str(out))
+        str(raw), str(gaz), str(out), python=python)
+    return loaded, out.read_bytes()
+
+
+def test_extract_imports_no_numpy(tmp_path):
+    loaded, tagged = _extract(tmp_path)
     assert loaded.splitlines()[-1] == "False False"
-    assert json.loads(out.read_text(encoding="utf-8"))["mentions"] == [["Ada Lovelace", 1]]
+    assert "(2 malformed lines skipped)" in loaded
+    assert json.loads(tagged.splitlines()[0])["mentions"] == [["Ada Lovelace", 1]]
+
+
+# every python3.N on PATH from 3.10 on but the running one's name
+OTHER_PYTHONS = [name for name in map("python3.{}".format, range(10, 20))
+                 if name != f"python3.{sys.version_info.minor}" and shutil.which(name)]
+
+
+@pytest.mark.parametrize("python", OTHER_PYTHONS or [None])
+def test_extract_bytes_match_other_pythons(tmp_path, python):
+    # extract needs no numpy, so a bare interpreter runs it
+    if python is None:
+        pytest.skip("no other python3.N on PATH")
+    if subprocess.run([python, "-c", ""], capture_output=True, timeout=60).returncode:
+        pytest.skip(f"{python} does not start")
+    assert _extract(tmp_path, shutil.which(python)) == _extract(tmp_path)
 
 
 def test_cli_import_loads_no_shard_machinery():
