@@ -165,7 +165,7 @@ def _assert_reads_as_reference(reader, sink, raised: bool, expected) -> None:
 
 def _bounded(lines, most: int):
     """``lines``, checking that each batch holds at most ``most`` characters
-    with its line ends (a character is never fewer bytes than one)."""
+    with its line ends (a character takes at least one byte)."""
     def checked(*args):
         for batch, suspect in lines(*args):
             size = sum(map(len, batch)) + len(batch)
