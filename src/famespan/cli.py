@@ -425,7 +425,8 @@ def _csv_list(raw: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
 
 def _add_input_args(p):
     """Inputs and volume sampling: sample, periods and run."""
-    p.add_argument("--input", type=Path, nargs="+", required=True)
+    p.add_argument("--input", type=Path, nargs="+", action="extend", required=True,
+                   help="corpus files, read in the order given; the flag may be repeated")
     p.add_argument("--schema", choices=("raw", "pretagged"), default=RunConfig.schema)
     p.add_argument(
         "--window",
@@ -498,13 +499,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _check_outputs(inputs: Sequence[Path], outputs: dict[str, Path | None]) -> None:
-    """ConfigError, before any input is read, for an output of sample or
-    extract (by flag; None when not given) that is the same file as an
-    input or an earlier output: the same regular file by os.path.samefile
-    when both exist, the same resolved path otherwise."""
-    seen = [("--input", path) for path in inputs]
-    for flag, path in outputs.items():
+def _check_files(inputs: Sequence[Path], outputs: dict[str, Path | None] | None = None) -> None:
+    """ConfigError, before any input is read, for an input given twice, or
+    for an output of sample or extract (by flag; None when not given) that
+    is the same file as an input or an earlier output: the same regular
+    file by os.path.samefile when both exist, the same resolved path
+    otherwise."""
+    seen: list[tuple[str, Path]] = []
+    for flag, path in [*(("--input", path) for path in inputs), *(outputs or {}).items()]:
         if path is None:
             continue
         for other_flag, other in seen:
@@ -515,9 +517,11 @@ def _check_outputs(inputs: Sequence[Path], outputs: dict[str, Path | None]) -> N
 
 
 def _cmd_extract(args) -> int:
-    _check_outputs([args.input], {"--out": args.out})
+    if len(args.input) > 1:
+        raise ConfigError(f"extract reads one --input, got {len(args.input)}")
+    _check_files(args.input, {"--out": args.out})
     recognizer = load_recognizer(args.gazetteer, args.honorifics, args.stoplist)
-    reader = read_documents(args.input, "raw")
+    reader = read_documents(args.input[0], "raw")
     tagged = ListSink(lambda block: [
         record_json(doc_id, stamp.timestamp, phrase_counts(text, recognizer).items())
         for doc_id, stamp, text in block.records()])
@@ -533,7 +537,7 @@ def _cmd_sample(args) -> int:
     _check_ranges(vars(args))
     sampler_cfg = SamplerConfig(args.n_min, args.seed, args.underfull_policy)
     window = _parse_window(args.window)
-    _check_outputs(args.input, {"--out": args.out, "--report": args.report})
+    _check_files(args.input, {"--out": args.out, "--report": args.report})
     with _Outputs() as outputs:
         out = outputs.track(args.out)
         report = outputs.track(args.report) if args.report else None
@@ -548,6 +552,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_periods(args) -> int:
     cfg = _build_run_config(args)
+    _check_files(args.input)
     with _Outputs(args.out_dir) as out:
         timelines = build_pipeline_timelines(cfg, args.input, out.path("sampling_report.csv"))
         n = sum(1 for _ in fame_periods(cfg, timelines, out))
@@ -623,6 +628,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _build_run_config(args)
+    _check_files(args.input)
     with _Outputs(args.out_dir) as out:
         digests: dict[str, str] = {}
         timelines = build_pipeline_timelines(cfg, args.input, out.path("sampling_report.csv"), digests)
@@ -675,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="raw JSONL -> pre-tagged JSONL via the recognizer")
-    p.add_argument("--input", type=Path, required=True)
+    p.add_argument("--input", type=Path, action="append", required=True, help="one raw corpus file")
     _add_recognizer_args(p, gazetteer_required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_extract)

@@ -47,7 +47,6 @@ than dirty data.
 from __future__ import annotations
 
 import codecs
-import hashlib
 import io
 import json
 import os
@@ -418,6 +417,7 @@ class _Hashed:
     """A file that is only read(), hashed as it is read."""
 
     def __init__(self, fh: BinaryIO):
+        import hashlib  # imported on use: it maps OpenSSL, which only a SHA-256 needs
         self.fh, self.sha256 = fh, hashlib.sha256()
 
     def read(self, n: int) -> bytes:
@@ -427,6 +427,7 @@ class _Hashed:
 
 
 def sha256_file(path: str | Path) -> str:
+    import hashlib  # see _Hashed
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

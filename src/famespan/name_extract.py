@@ -10,7 +10,6 @@ by supplying pre-tagged documents; downstream measurements only see
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -96,6 +95,7 @@ def load_wordlist(path: str | Path, digests: dict[str, str] | None = None) -> fr
     with open(path, "rb") as fh:
         data = fh.read()
     if digests is not None:
+        import hashlib  # imported on use: it maps OpenSSL, which only a SHA-256 needs
         digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
         text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")

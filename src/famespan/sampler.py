@@ -11,8 +11,10 @@ sufficiently full month is n_min.
 
 from __future__ import annotations
 
+# hashlib.blake2b is this object (hashlib never takes blake2, keyed here, from
+# OpenSSL), without the libcrypto that importing hashlib maps for its SHA-256
+from _blake2 import blake2b
 from dataclasses import dataclass
-from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -51,6 +53,10 @@ def keep_scorer(seed: int) -> Callable[[str], float]:
     return score
 
 
+# documents counted and masked at a time (see sample_columns)
+_CHUNK = 1 << 14
+
+
 def sample_columns(
     months: Sequence[int], scores: Sequence[float], cfg: SamplerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -58,11 +64,15 @@ def sample_columns(
     (keep_scorer): the (month index, n_t) row of each month present, in
     month order; the mask that keeps each document with probability
     min(1, n_min/n_t), or as cfg.underfull_policy says in a month below
-    n_min; and each month's kept count."""
-    months = np.asarray(months, dtype=np.int32)
+    n_min; and each month's kept count.  The counts and the mask are made
+    over slices of _CHUNK documents, so that beside the columns and the
+    mask (1 byte per document) only a slice's temporaries and arrays over
+    the months are held."""
+    months, scores = np.asarray(months, dtype=np.int32), np.asarray(scores)
     first = int(months.min()) if months.size else 0
-    offsets = months - first  # a century is about 1,200 offsets
-    n_t = np.bincount(offsets)
+    span = int(months.max()) + 1 - first if months.size else 0  # a century is about 1,200 months
+    chunks = [slice(at, at + _CHUNK) for at in range(0, months.size, _CHUNK)]
+    n_t = sum((np.bincount(months[c] - first, minlength=span) for c in chunks), np.zeros(span, np.int64))
     present = np.flatnonzero(n_t)
     volumes = np.column_stack([present + first, n_t[present]])
     underfull = n_t[present] < cfg.n_min
@@ -71,12 +81,14 @@ def sample_columns(
         year, month = month_from_index(index)
         raise UnderfullMonth(f"month {year:04d}-{month:02d} has {count} documents < n_min={cfg.n_min}")
     # n_min/n_t is at most 1 in a full month; float64 divides counts below 2**53 as Python does
-    p = np.zeros(n_t.size)
+    p = np.zeros(span)
     p[present] = np.where(underfull, float(cfg.underfull_policy == "keep-all"), cfg.n_min / n_t[present])
-    # scores lie in [0, 1), so this is p >= 1 or (p > 0 and score < p)
-    keep = np.asarray(scores) < p[offsets]
-    kept = np.bincount(offsets[keep], minlength=n_t.size)[present]
-    return volumes, keep, kept
+    keep, kept = np.empty(months.size, bool), np.zeros(span, np.int64)
+    for chunk in chunks:
+        offsets = months[chunk] - first
+        # scores lie in [0, 1), so this is p >= 1 or (p > 0 and score < p)
+        kept += np.bincount(offsets[np.less(scores[chunk], p[offsets], out=keep[chunk])], minlength=span)
+    return volumes, keep, kept[present]
 
 
 def write_sampling_report(volumes: np.ndarray, kept: np.ndarray, path: str | Path) -> None:

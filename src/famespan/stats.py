@@ -35,10 +35,11 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+# hashlib.blake2b, without the OpenSSL that importing hashlib maps (see sampler)
+from _blake2 import blake2b
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import partial
-from hashlib import blake2b
 from typing import Iterable, Sequence
 
 import numpy as np

@@ -93,7 +93,8 @@ class MentionColumns:
     does not fit (see _extend): counts take 1 byte, 4 from the first of
     256 on and 8 from the first of 2**32 on; name codes take 2 bytes, 4
     from the 65,537th name on.  As a corpus_io.Sink, a byte range's
-    columns are appended whole."""
+    columns are appended whole.  build_timelines consumes the columns:
+    it empties the document times and sizes once it has ranked them."""
 
     def __init__(self, mentions: Iterable[Mention] = ()):
         from array import array  # imported on use, so stats and report load less
@@ -186,7 +187,10 @@ def build_timelines(
     _SLICE_MENTIONS mentions, at most _MAX_SLICES (each a pass over the
     columns); per slice one argsort of an int64 key per kept mention,
     code * n_times + rank, and add.reduceat over each run of equal keys
-    merge its timelines.  Beside the columns this holds 4 bytes per
+    merge its timelines.  Once each mention has its rank, the document
+    times and sizes (12 bytes per document) are emptied: the merge
+    consumes the MentionColumns it is given, which must not be merged
+    again.  Beside the name codes and counts it then holds 4 bytes per
     mention with int16 ranks (rank, slice, the slice's mask), and 28 per
     mention of the slice being sorted.  A name whose counts sum to 2**63
     or more raises DataError.
@@ -207,6 +211,8 @@ def build_timelines(
         rank[at:at + _CHUNK] = np.searchsorted(times, doc_us[at:at + _CHUNK])
     rank[~keep] = -1  # a dropped document
     rank = np.repeat(rank, size)
+    del size, doc_us  # the views, so that the columns below may be emptied
+    del cols.doc_us[:], cols.doc_size[:]
     # a code's slice: its share of lower-coded mentions; a dropped document's mentions are in none
     per_code = np.zeros(len(cols.codes), np.int64)
     np.add.at(per_code, code, 1)  # bincount would copy the codes to intp first

@@ -264,6 +264,77 @@ def test_sample_may_send_both_outputs_to_one_device(corpus_path, capsys):
     assert capsys.readouterr().out.startswith("kept ")
 
 
+def _month_corpus(path: Path, prefix: str) -> Path:
+    """60 pre-tagged documents in 2005-01, with ids prefix0..prefix59."""
+    path.write_text("".join(json.dumps({"id": f"{prefix}{i}", "date": f"2005-01-{1 + i % 28:02d}",
+                                        "mentions": [["Ada Lovelace", 1]]}) + "\n" for i in range(60)),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("flags", ["repeated", "one"])
+def test_every_input_is_read_in_the_order_given(tmp_path, flags):
+    a, b = _month_corpus(tmp_path / "a.jsonl", "a"), _month_corpus(tmp_path / "b.jsonl", "b")
+    inputs = ["--input", str(a), "--input", str(b)] if flags == "repeated" else ["--input", str(a), str(b)]
+    out, report = tmp_path / "sampled.jsonl", tmp_path / "volumes.csv"
+    assert main(["sample", *inputs, "--window", "2005-01", "2005-02", "--n-min", "1000", "--seed", "1",
+                 "--underfull-policy", "keep-all", "--out", str(out), "--report", str(report)]) == 0
+    assert report.read_text().splitlines()[1] == "2005-01,120,120"
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == \
+        [f"{prefix}{i}" for prefix in "ab" for i in range(60)]
+
+
+def test_a_repeated_input_flag_reads_every_file_in_a_run(tmp_path, corpus_path):
+    # the corpus cut in two: --input a --input b gives the artifacts of --input a b
+    lines = corpus_path.read_bytes().splitlines(keepends=True)
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_bytes(b"".join(lines[:1000]))
+    b.write_bytes(b"".join(lines[1000:]))
+    assert run_to(a, tmp_path / "one", extra=["--input", str(b)]) == 0
+    assert main(["run", "--input", str(a), str(b), "--out-dir", str(tmp_path / "two"), *RUN_ARGS]) == 0
+    assert list(json.loads((tmp_path / "one" / "manifest.json").read_text())["inputs"]) == [str(a), str(b)]
+    for path in (tmp_path / "two").iterdir():
+        assert (tmp_path / "one" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# (the --input arguments, relative to the test's directory; the file named
+# second, which the error names as the same file as the first)
+INPUT_TWICE = {
+    "one-flag": (["--input", "c.jsonl", "c.jsonl"], "c.jsonl"),
+    "two-flags": (["--input", "c.jsonl", "--input", "d.jsonl", "--input", "c.jsonl"], "c.jsonl"),
+    "other-spelling": (["--input", "c.jsonl", "sub/../c.jsonl"], "sub/../c.jsonl"),
+    "link": (["--input", "c.jsonl", "link.jsonl"], "link.jsonl"),
+}
+
+
+@pytest.mark.parametrize("spelling", INPUT_TWICE)
+@pytest.mark.parametrize("command", ["sample", "periods", "run"])
+def test_an_input_given_twice_is_a_config_error_before_any_read(tmp_path, capsys, command, spelling):
+    # every line is malformed, so reading an input would be a data error, exit 3
+    for name in ("c.jsonl", "d.jsonl"):
+        (tmp_path / name).write_text("{broken\n", encoding="utf-8")
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "c.jsonl")
+    (tmp_path / "sub").mkdir()
+    inputs, second = INPUT_TWICE[spelling]
+    out = tmp_path / "out"
+    args = [command, *(a if a.startswith("--") else str(tmp_path / a) for a in inputs), *SAMPLING_ARGS,
+            "--out" if command == "sample" else "--out-dir", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (f"famespan: error: --input {tmp_path / second} is the same file "
+                                       f"as --input {tmp_path / 'c.jsonl'}\n")
+    assert not out.exists()
+
+
+def test_extract_takes_one_input(tmp_path, capsys):
+    raw = _raw_corpus(tmp_path)
+    gaz, out = tmp_path / "gaz.txt", tmp_path / "tagged.jsonl"
+    gaz.write_text("Ada\n", encoding="utf-8")
+    assert main(["extract", "--input", str(raw), "--input", str(raw), "--gazetteer", str(gaz),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "famespan: error: extract reads one --input, got 2\n"
+    assert not out.exists()
+
+
 def _raw_corpus(tmp_path):
     raw = tmp_path / "raw.jsonl"
     rows = []

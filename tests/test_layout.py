@@ -12,6 +12,10 @@ Processes are forked, piped to, killed and reaped in forks.py only: no
 other program module may use the os functions in PROCESS_CALLS, and none
 at all may pin a process to CPUs (sched_setaffinity), which is left to
 the kernel.
+
+No program module imports a module of ON_USE when it is imported itself:
+hashlib maps OpenSSL's libcrypto, which only a SHA-256 needs, so it is
+imported inside the functions that take one.
 """
 
 import ast
@@ -23,6 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "famespan"
 REFERENCE_MODULES = {"synth"}
 PUBLIC = {"stats.bootstrap", "timeline.Timeline.from_pairs"}
 PROCESS_CALLS = {"fork", "pipe", "waitpid", "kill", "sched_setaffinity"}
+ON_USE = {"hashlib"}
 
 
 def _program_modules() -> dict[str, ast.Module]:
@@ -126,3 +131,35 @@ def test_the_guard_sees_a_stray_fork(tmp_path, monkeypatch):
         encoding="utf-8")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert _process_calls() == ["stray.fork", "stray.kill", "stray.sched_setaffinity"]
+
+
+def _imports_on_load() -> list[str]:
+    """module.imported of each import of an ON_USE module that runs when a
+    program module is imported: outside every function body."""
+    found = []
+    for module, tree in _program_modules().items():
+        nodes = list(tree.body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.Import):
+                found += [f"{module}.{alias.name}" for alias in node.names if alias.name in ON_USE]
+            elif isinstance(node, ast.ImportFrom) and node.module in ON_USE:
+                found.append(f"{module}.{node.module}")
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_hashlib_is_imported_on_use():
+    assert _imports_on_load() == []
+
+
+def test_the_guard_sees_a_hashlib_import_on_load(tmp_path, monkeypatch):
+    # at the top, under an if and in a class body; not inside a function
+    (tmp_path / "stray.py").write_text(
+        "import hashlib\nimport os\n\nif os.name:\n    from hashlib import sha256\n\n\n"
+        "class Digest:\n    import hashlib as h\n\n    def take(self):\n        import hashlib\n"
+        "        return hashlib.sha256()\n\n\ndef take():\n    from hashlib import sha256\n"
+        "    return sha256()\n", encoding="utf-8")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert _imports_on_load() == ["stray.hashlib"] * 3

@@ -8,6 +8,12 @@ them, 3 bytes of time rank and slice and the timelines it returns.  The
 runs are measured under perfbench/spawn.py, as the benchmark measures
 them, since a child's ru_maxrss on Linux starts from the resident size of
 the process that spawned it.
+
+The runs are of periods, which goes through the same ingest and merge as
+run, so that both peak in the merge.  run's peak comes at its end for
+corpora of up to about 1M mentions, when the manifest's SHA-256 maps
+OpenSSL (about 3.5 MB) beside the statistics; above them the merge's
+16 slices grow with the corpus.
 """
 
 import json
@@ -42,9 +48,8 @@ def _peak_rss_bytes(corpus: Path, out: Path) -> float:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-S", str(ROOT / "perfbench" / "spawn.py"), "300", sys.executable, "-m",
-           "famespan.cli", "run", "--input", str(corpus), "--window", "2006-01", "2010-01",
-           "--n-min", "1000000", "--underfull-policy", "keep-all", "--seed", "1", "--reps", "50",
-           "--out-dir", str(out)]
+           "famespan.cli", "periods", "--input", str(corpus), "--window", "2006-01", "2010-01",
+           "--n-min", "1000000", "--underfull-policy", "keep-all", "--seed", "1", "--out-dir", str(out)]
     proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True, timeout=320)
     assert proc.returncode == 0, proc.stderr
     cost = json.loads(proc.stdout.splitlines()[-1])

@@ -9,7 +9,9 @@ line with no end.  Each file is read in one range with _READ_BYTES of 1,
 test_shards.py) with one of those read sizes.  Records, ReadStats,
 the first errors, TSV ids and digest, and the 10% limit must be the
 reference's every time, and no batch of decoded lines may hold more
-than its first line and one read.
+than its first line and one read.  Files that are empty, a byte-order
+mark or only its first one or two bytes, alone or before one line, are
+read against the reference too.
 """
 
 import hashlib
@@ -202,6 +204,32 @@ def test_reader_matches_the_reference(tmp_path_factory, kind, data):
             mp.setattr(corpus_io, "_READ_BYTES", read_bytes)
             mp.setattr(corpus_io, "_lines", _bounded(corpus_io._lines, longest + read_bytes))
             sink, raised = _read(reader, window)
+        _assert_reads_as_reference(reader, sink, raised, expected)
+        assert reader.digest == expected.digest
+
+
+# one well-formed line of each kind
+ONE_LINE = {"raw": b'{"id": "d1", "date": "2005-01-31", "text": "Ada Lovelace spoke."}\n',
+            "pretagged": b'{"id": "d1", "date": "2005-01-31", "mentions": [["Ada Lovelace", 2]]}\n',
+            "tsv": b"2005-01-31\tAda Lovelace\t2\n"}
+
+
+@pytest.mark.parametrize("line", [False, True], ids=["alone", "before-a-line"])
+@pytest.mark.parametrize("start", [b"", BOM[:1], BOM[:2], BOM], ids=["empty", "ef", "ef-bb", "bom"])
+@pytest.mark.parametrize("kind", ["raw", "pretagged", "tsv"])
+def test_a_file_that_is_part_of_a_byte_order_mark_reads_as_the_reference(tmp_path, kind, start, line):
+    # the grammar above seldom draws these: at the end of a file,
+    # utf-8-sig drops bytes that only start a byte-order mark
+    schema = "raw" if kind == "raw" else "pretagged"
+    content = start + (ONE_LINE[kind] if line else b"")
+    path = tmp_path / "c.txt"
+    path.write_bytes(content)
+    expected = reference_read(content, schema, WINDOW)
+    for read_bytes in (1, 65536):
+        reader = read_documents(path, schema)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_io, "_READ_BYTES", read_bytes)
+            sink, raised = _read(reader, WINDOW)
         _assert_reads_as_reference(reader, sink, raised, expected)
         assert reader.digest == expected.digest
 

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from array import array
 from itertools import compress
 
 import numpy as np
 import pytest
 
+from famespan import sampler
 from famespan.dates import month_index
 from famespan.errors import ConfigError, UnderfullMonth
 from famespan.sampler import SamplerConfig, keep_scorer, sample_columns, write_sampling_report
@@ -101,3 +104,37 @@ def test_sampling_report(tmp_path):
     out = tmp_path / "report.csv"
     write_sampling_report(vols, kept_counts, out)
     assert out.read_text() == f"month,n_t,kept\n1950-06,100,{kept_counts[0]}\n1950-07,20,0\n"
+
+
+@pytest.mark.parametrize("policy", ["drop-month", "keep-all"])
+def test_slices_of_documents_change_nothing(monkeypatch, policy):
+    # 30 months in random order, some below n_min, counted and masked in
+    # slices that split every month
+    rng = np.random.default_rng(4)
+    months = rng.integers(1200, 1230, 3000).tolist()
+    scores = rng.random(3000).tolist()
+    cfg = SamplerConfig(n_min=95, seed=1, underfull_policy=policy)
+    whole = sample_columns(months, scores, cfg)
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        for got, expected in zip(sample_columns(months, scores, cfg), whole):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_the_mask_is_made_in_bounded_slices():
+    # the pretagged_1m volume: 201,600 documents over 48 months, in the
+    # ingest's columns; beside the mask it returns, the sampler holds no
+    # temporary over the whole corpus
+    rng = np.random.default_rng(3)
+    n_docs = 201_600
+    months = array("i", np.sort(rng.integers(1272, 1320, n_docs)).tolist())
+    scores = array("d", rng.random(n_docs).tolist())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, keep, _ = sample_columns(months, scores, SamplerConfig(n_min=4000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert keep.nbytes == n_docs
+    assert peak - keep.nbytes <= 32 * sampler._CHUNK

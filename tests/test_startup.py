@@ -1,9 +1,10 @@
 """What a launch imports and starts, checked in fresh interpreters.
 
 extract must run without numpy; the other subcommands keep OpenBLAS from
-starting a thread pool unless the user asked for one; and the stage names
-that perfbench/layertrace.py wraps in famespan.cli must still resolve
-there and still be what the stages call.
+starting a thread pool unless the user asked for one; only a launch that
+takes a SHA-256 maps OpenSSL; and the stage names that
+perfbench/layertrace.py wraps in famespan.cli must still resolve there and
+still be what the stages call.
 """
 
 import json
@@ -124,13 +125,18 @@ def test_stage_entry_points_load_the_stages(tmp_path, call):
     assert out.splitlines()[-1] == "1"
 
 
-def _report_threads(tmp_path: Path, env_update: dict | None = None) -> tuple[str, int]:
-    """OPENBLAS_NUM_THREADS and the process's thread count after a report
-    launch, which loads numpy."""
-    periods = tmp_path / "periods_spike_all.csv"
+def _periods_csv(periods: Path) -> Path:
+    """12 spike periods of 7 to 18 days."""
     rows = [f"N{i},spike,2005-01-03,2005-01-{10 + i},2005-01-03,{7 + i}" for i in range(12)]
     periods.write_text("name,method,start,end,peak_date,duration_days\n" + "\n".join(rows) + "\n",
                        encoding="utf-8")
+    return periods
+
+
+def _report_threads(tmp_path: Path, env_update: dict | None = None) -> tuple[str, int]:
+    """OPENBLAS_NUM_THREADS and the process's thread count after a report
+    launch, which loads numpy."""
+    periods = _periods_csv(tmp_path / "periods_spike_all.csv")
     out = _python(
         "import os, sys\n"
         "from famespan.cli import main\n"
@@ -163,14 +169,19 @@ def test_traced_names_still_resolve_in_cli():
     assert {n for n, ok in resolved.items() if not ok} == STALE_WRAPS & set(names)
 
 
-def test_traced_periods_times_its_stages(tmp_path):
-    # the stages must call the tracer's wrappers, not names bound after them
-    corpus = tmp_path / "corpus.jsonl"
+def _daily_corpus(corpus: Path) -> Path:
+    """90 pre-tagged JSON documents, one a day from 2005-01-01."""
     day = date(2005, 1, 1)
     with open(corpus, "w", encoding="utf-8") as fh:
         for i in range(90):
             fh.write(json.dumps({"id": f"d{i}", "date": (day + timedelta(days=i)).isoformat(),
                                  "mentions": [["Ada Lovelace", 1], ["Grace Hopper", 2]]}) + "\n")
+    return corpus
+
+
+def test_traced_periods_times_its_stages(tmp_path):
+    # the stages must call the tracer's wrappers, not names bound after them
+    corpus = _daily_corpus(tmp_path / "corpus.jsonl")
     spans = tmp_path / "spans.npz"
     subprocess.run(
         [sys.executable, str(BENCH / "layertrace.py"), str(spans), "periods", "--input", str(corpus),
@@ -184,3 +195,43 @@ def test_traced_periods_times_its_stages(tmp_path):
     for layer in ("timeline.build", "timeline.filter", "sampler.sample", "peaks.spike",
                   "peaks.continuity", "report.write"):
         assert counts.get(layer, 0) > 0, layer
+
+
+def test_loading_the_stages_maps_no_openssl():
+    # hashlib loads _hashlib, which maps OpenSSL's libcrypto; the keyed
+    # blake2b of the sampler and the stage seeds is hashlib's own
+    loaded = _python("import sys\n"
+                     "import famespan.cli as cli\n"
+                     "cli._load_stages()\n"
+                     "print('_hashlib' in sys.modules)\n"
+                     "import hashlib\n"
+                     "from famespan import sampler, stats\n"
+                     "print(sampler.blake2b is hashlib.blake2b, stats.blake2b is hashlib.blake2b)\n")
+    assert loaded.splitlines()[-2:] == ["False", "True True"]
+
+
+@pytest.mark.parametrize("command", ["extract", "sample", "periods", "stats", "report", "run"])
+def test_only_a_sha256_maps_openssl(tmp_path, command):
+    # a pre-tagged JSON corpus and word lists read without digests take no
+    # SHA-256; a manifest does, for every input
+    raw, gaz = tmp_path / "raw.jsonl", tmp_path / "gaz.txt"
+    raw.write_bytes(_RAW_CORPUS)
+    gaz.write_text("Ada\n", encoding="utf-8")
+    corpus = _daily_corpus(tmp_path / "corpus.jsonl")
+    periods = _periods_csv(tmp_path / "periods_spike_all.csv")
+    sampling = ["--window", "2005-01", "2005-04", "--n-min", "10", "--seed", "3"]
+    out = str(tmp_path / "out")
+    argv = {
+        "extract": ["--input", str(raw), "--gazetteer", str(gaz), "--out", str(tmp_path / "tagged.jsonl")],
+        "sample": ["--input", str(corpus), *sampling, "--out", str(tmp_path / "sampled.jsonl")],
+        "periods": ["--input", str(corpus), *sampling, "--filters", "all", "--out-dir", out],
+        "stats": ["--periods", str(periods), "--seed", "1", "--reps", "20", "--out-dir", out],
+        "report": ["--periods", str(periods), "--seed", "1", "--reps", "20", "--out-dir", out],
+        "run": ["--input", str(corpus), *sampling, "--filters", "all", "--reps", "20", "--out-dir", out],
+    }[command]
+    loaded = _python("import json, sys\n"
+                     "from famespan.cli import main\n"
+                     "assert main(json.loads(sys.argv[1])) == 0\n"
+                     "print('_hashlib' in sys.modules)\n",
+                     json.dumps([command, *argv]))
+    assert loaded.splitlines()[-1] == str(command in ("report", "run"))

@@ -199,14 +199,25 @@ def test_merge_in_slices_of_one_mention_changes_nothing(docs, data):
     # up to _MAX_SLICES slices, against the one slice these sizes get
     keep = data.draw(st.none() | st.lists(st.booleans(), min_size=len(docs), max_size=len(docs)))
     keep = None if keep is None else np.array(keep, dtype=bool)
-    cols = MentionColumns()
-    for base, day, tod, mentions in docs:
-        cols.add(base + day * DAY_US + tod, mentions)
-    whole = build_timelines(cols, keep)
+
+    def columns() -> MentionColumns:  # a merge consumes its columns
+        cols = MentionColumns()
+        for base, day, tod, mentions in docs:
+            cols.add(base + day * DAY_US + tod, mentions)
+        return cols
+    whole = build_timelines(columns(), keep)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(timeline, "_SLICE_MENTIONS", 1)
-        sliced = build_timelines(cols, keep)
+        sliced = build_timelines(columns(), keep)
     assert list(sliced) == list(whole) and sliced == whole
+
+
+def test_the_merge_empties_the_document_columns():
+    cols = MentionColumns([Mention("A", D1, 2), Mention("B", D2, 1), Mention("A", D2, 3)])
+    codes, counts = cols.name_code.tolist(), cols.count.tolist()
+    assert len(build_timelines(cols, np.array([True, False, True]))) == 1
+    assert (len(cols.doc_us), len(cols.doc_size)) == (0, 0)
+    assert (cols.name_code.tolist(), cols.count.tolist()) == (codes, counts)
 
 
 def test_the_first_name_to_overflow_is_rejected_across_slices(monkeypatch):
